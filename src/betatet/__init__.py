@@ -18,21 +18,13 @@ from .beta import (
     singular_lattice,
     taylor_coefficients,
 )
-from .composition import (
-    CompositionResult,
-    CompositionTerm,
-    compose_adaptive,
-    compose_finite,
-)
 from .errors import (
     BetaTetError,
     BranchCut,
-    BudgetExhausted,
     CalibrationFailed,
     DomainError,
     NoConvergence,
     NonFinite,
-    Overflow,
     ShortCircuit,
     SingularPoint,
 )
@@ -64,18 +56,12 @@ __all__ = [
     "g_eval",
     "singular_lattice",
     "taylor_coefficients",
-    "CompositionResult",
-    "CompositionTerm",
-    "compose_adaptive",
-    "compose_finite",
     "BetaTetError",
     "BranchCut",
-    "BudgetExhausted",
     "CalibrationFailed",
     "DomainError",
     "NoConvergence",
     "NonFinite",
-    "Overflow",
     "ShortCircuit",
     "SingularPoint",
     "Overlay",

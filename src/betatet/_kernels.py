@@ -1,101 +1,77 @@
-"""Hot composition kernels: numba @njit versions with a pure-numpy fallback.
+"""Hot composition kernels, vectorized with numpy.
 
-The backend is chosen at import time from BETA_TET_BACKEND:
-
-    numba   force the JIT kernels (ImportError if numba is missing)
-    numpy   force the vectorized numpy path
-    unset   numba when importable, numpy otherwise
-
-Both backends implement identical per-element logic, in particular the same
-guard ordering (singular denominator -> overflow guard -> non-finite update),
-so status planes agree exactly and values agree to rounding.
-
-All kernels evaluate depth-n truncations of the nested map
+The beta kernel evaluates depth-n truncations of the nested map
 
     f <- e^f / (1 + e^{x_j}),   j = n, n-1, ..., 1
 
-innermost term first, starting from f = 0.  The exponent x_j is
-lambda*(j - s) for the fixed family and (j - s)/sqrt(1 + s) for the
-variable one; the w-coordinate kernel uses f <- w e^f / (e^{lambda j} + w).
-"""
+innermost term first, starting from f = 0, with the per-point exponent
+x_j = rate (j - s).  The rate is lambda for the fixed family and
+1/sqrt(1 + s) for the variable one, so both families share one loop.  The
+w-coordinate kernel uses f <- w e^f / (e^{lambda j} + w).
 
-import os
+Every kernel applies the same guards to each point, in this order: singular
+denominator, then overflow guard, then non-finite update.  A point stops at
+the first guard it trips and keeps its last finite iterate.
+"""
 
 import numpy as np
 
-from .errors import OVERFLOW_GUARD, SINGULAR_RADIUS
+from .errors import NONFINITE, OVERFLOW_GUARD, SHORT_CIRCUIT, SINGULAR, SINGULAR_RADIUS
 
-_env = os.environ.get("BETA_TET_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError(f"BETA_TET_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-_nb = None
-if _env in ("", "numba"):
-    try:
-        import warnings
-
-        # the threading-layer probe warns on older TBB installs and falls
-        # back to another layer; the warning is environment noise
-        warnings.filterwarnings("ignore", message="The TBB threading layer requires TBB")
-        import numba as _nb
-    except ImportError:
-        if _env == "numba":
-            raise
-        _nb = None
-
-BACKEND = "numba" if _nb is not None else "numpy"
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------- numpy twins
+def _as_c128(a):
+    arr = np.asarray(a, dtype=np.complex128)
+    return np.atleast_1d(arr)
 
-def _beta_fixed_np(s, lam, depth):
-    f = np.zeros(s.shape, np.complex128)
+
+def _isfinite(z):
+    return np.isfinite(z.real) & np.isfinite(z.imag)
+
+
+def _beta(s, lam, depth):
+    """Beta recursion over an array of s; lam=None selects the variable rate.
+
+    A non-finite s or rate (the variable rate is 1/0 at s = -1) gets the
+    nonfinite status before the first level.  Finished points are compacted away each level, and the e^{f - x} branch
+    (used where Re x passes the overflow guard, since e^x itself would
+    overflow) runs only when a live point needs it.
+    """
+    s = _as_c128(s)
+    with np.errstate(all="ignore"):
+        rate = 1.0 / np.sqrt(1.0 + s) if lam is None else np.full(s.shape, complex(lam))
+    values = np.zeros(s.shape, np.complex128)
     status = np.zeros(s.shape, np.int8)
-    active = np.isfinite(s.real) & np.isfinite(s.imag)
-    status[~active] = 3
+    out_v, out_st = values.reshape(-1), status.reshape(-1)
+    finite = (_isfinite(s) & _isfinite(rate)).ravel()
+    out_st[~finite] = NONFINITE
+    idx = np.flatnonzero(finite)
+    sl, rl = s.ravel()[idx], rate.ravel()[idx]
+    f = np.zeros(idx.size, np.complex128)
     with np.errstate(all="ignore"):
         for j in range(depth, 0, -1):
-            x = lam * (j - s)
+            if not idx.size:
+                break
+            x = rl * (j - sl)
             big = x.real > OVERFLOW_GUARD
-            den = 1.0 + np.exp(np.where(big, 0.0, x))
-            sing = active & ~big & (np.abs(den) < SINGULAR_RADIUS)
-            status[sing] = 1
-            active &= ~sing
-            ovf = active & (f.real > OVERFLOW_GUARD)
-            status[ovf] = 2
-            active &= ~ovf
-            fn = np.where(big, np.exp(f - x), np.exp(f) / den)
-            bad = active & ~(np.isfinite(fn.real) & np.isfinite(fn.imag))
-            status[bad] = 2
-            active &= ~bad
-            f = np.where(active, fn, f)
-    return f, status
-
-
-def _beta_variable_np(s, depth):
-    with np.errstate(all="ignore"):
-        r = 1.0 / np.sqrt(1.0 + s)
-    f = np.zeros(s.shape, np.complex128)
-    status = np.zeros(s.shape, np.int8)
-    active = np.isfinite(r.real) & np.isfinite(r.imag)
-    status[~active] = 3
-    with np.errstate(all="ignore"):
-        for j in range(depth, 0, -1):
-            x = (j - s) * r
-            big = x.real > OVERFLOW_GUARD
-            den = 1.0 + np.exp(np.where(big, 0.0, x))
-            sing = active & ~big & (np.abs(den) < SINGULAR_RADIUS)
-            status[sing] = 1
-            active &= ~sing
-            ovf = active & (f.real > OVERFLOW_GUARD)
-            status[ovf] = 2
-            active &= ~ovf
-            fn = np.where(big, np.exp(f - x), np.exp(f) / den)
-            bad = active & ~(np.isfinite(fn.real) & np.isfinite(fn.imag))
-            status[bad] = 2
-            active &= ~bad
-            f = np.where(active, fn, f)
-    return f, status
+            den = 1.0 + np.exp(x)
+            sing = ~big & (np.abs(den) < SINGULAR_RADIUS)
+            ovf = f.real > OVERFLOW_GUARD
+            fn = np.exp(f) / den
+            if big.any():
+                fn[big] = np.exp(f[big] - x[big])
+            stop = sing | ovf | ~_isfinite(fn)
+            if stop.any():
+                at = idx[stop]
+                out_v[at] = f[stop]
+                out_st[at] = np.where(sing[stop], SINGULAR, SHORT_CIRCUIT)
+                keep = ~stop
+                idx, sl, rl, f = idx[keep], sl[keep], rl[keep], fn[keep]
+            else:
+                f = fn
+    out_v[idx] = f
+    return values, status
 
 
 def _g_comp_np(w, lam, depth):
@@ -129,191 +105,25 @@ def _g_comp_np(w, lam, depth):
     return f, status
 
 
-# ---------------------------------------------------------------- numba twins
-
-if _nb is not None:
-    _njit = _nb.njit(cache=True, parallel=True, nogil=True)
-
-    @_njit
-    def _beta_fixed_nb(s, lam, depth):  # pragma: no cover - exercised via dispatch
-        out = np.empty(s.size, np.complex128)
-        status = np.zeros(s.size, np.int8)
-        for i in _nb.prange(s.size):
-            si = s[i]
-            f = 0.0 + 0.0j
-            code = np.int8(0)
-            if not (np.isfinite(si.real) and np.isfinite(si.imag)):
-                code = np.int8(3)
-            else:
-                for j in range(depth, 0, -1):
-                    x = lam * (j - si)
-                    if x.real > OVERFLOW_GUARD:
-                        if f.real > OVERFLOW_GUARD:
-                            code = np.int8(2)
-                            break
-                        fn = np.exp(f - x)
-                    else:
-                        den = 1.0 + np.exp(x)
-                        if abs(den) < SINGULAR_RADIUS:
-                            code = np.int8(1)
-                            break
-                        if f.real > OVERFLOW_GUARD:
-                            code = np.int8(2)
-                            break
-                        fn = np.exp(f) / den
-                    if not (np.isfinite(fn.real) and np.isfinite(fn.imag)):
-                        code = np.int8(2)
-                        break
-                    f = fn
-            out[i] = f
-            status[i] = code
-        return out, status
-
-    @_njit
-    def _beta_variable_nb(s, depth):  # pragma: no cover
-        out = np.empty(s.size, np.complex128)
-        status = np.zeros(s.size, np.int8)
-        for i in _nb.prange(s.size):
-            si = s[i]
-            f = 0.0 + 0.0j
-            code = np.int8(0)
-            rt = np.sqrt(1.0 + si)
-            if rt == 0 or not (np.isfinite(rt.real) and np.isfinite(rt.imag)
-                               and np.isfinite(si.real) and np.isfinite(si.imag)):
-                code = np.int8(3)
-            else:
-                r = 1.0 / rt
-                for j in range(depth, 0, -1):
-                    x = (j - si) * r
-                    if x.real > OVERFLOW_GUARD:
-                        if f.real > OVERFLOW_GUARD:
-                            code = np.int8(2)
-                            break
-                        fn = np.exp(f - x)
-                    else:
-                        den = 1.0 + np.exp(x)
-                        if abs(den) < SINGULAR_RADIUS:
-                            code = np.int8(1)
-                            break
-                        if f.real > OVERFLOW_GUARD:
-                            code = np.int8(2)
-                            break
-                        fn = np.exp(f) / den
-                    if not (np.isfinite(fn.real) and np.isfinite(fn.imag)):
-                        code = np.int8(2)
-                        break
-                    f = fn
-            out[i] = f
-            status[i] = code
-        return out, status
-
-    @_njit
-    def _g_comp_nb(w, lam, depth):  # pragma: no cover
-        out = np.empty(w.size, np.complex128)
-        status = np.zeros(w.size, np.int8)
-        # per-level constants hoisted out of the pixel loop
-        xs = np.empty(depth + 1, np.complex128)
-        ejs = np.empty(depth + 1, np.complex128)
-        rads = np.empty(depth + 1, np.float64)
-        for j in range(1, depth + 1):
-            xs[j] = lam * j
-            ejs[j] = np.exp(xs[j]) if xs[j].real <= OVERFLOW_GUARD else 0.0
-            rads[j] = SINGULAR_RADIUS * np.exp(min(xs[j].real, OVERFLOW_GUARD))
-        for i in _nb.prange(w.size):
-            wi = w[i]
-            f = 0.0 + 0.0j
-            code = np.int8(0)
-            if not (np.isfinite(wi.real) and np.isfinite(wi.imag)):
-                code = np.int8(3)
-            else:
-                for j in range(depth, 0, -1):
-                    x = xs[j]
-                    if x.real > OVERFLOW_GUARD:
-                        if f.real > OVERFLOW_GUARD:
-                            code = np.int8(2)
-                            break
-                        fn = wi * np.exp(f - x)
-                    else:
-                        den = ejs[j] + wi
-                        if abs(den) < rads[j]:
-                            code = np.int8(1)
-                            break
-                        if f.real > OVERFLOW_GUARD:
-                            code = np.int8(2)
-                            break
-                        fn = wi * np.exp(f) / den
-                    if not (np.isfinite(fn.real) and np.isfinite(fn.imag)):
-                        code = np.int8(2)
-                        break
-                    f = fn
-            out[i] = f
-            status[i] = code
-        return out, status
-
-
-# ------------------------------------------------------------------ dispatch
-
-def _as_c128(a):
-    arr = np.asarray(a, dtype=np.complex128)
-    return np.atleast_1d(arr)
-
-
-def beta_fixed_grid(s, lam, depth, backend=None):
+def beta_fixed_grid(s, lam, depth):
     """Depth-n fixed-lambda composition over an array of s values.
 
     Returns (values, status) with the input shape; status-2 elements hold the
     last finite iterate before the overflow guard tripped.
     """
-    arr = _as_c128(s)
-    be = backend or BACKEND
-    if be == "numba":
-        v, st = _beta_fixed_nb(arr.ravel(), complex(lam), int(depth))
-        return v.reshape(arr.shape), st.reshape(arr.shape)
-    v, st = _beta_fixed_np(arr, complex(lam), int(depth))
-    return v, st
+    return _beta(s, lam, int(depth))
 
 
-def beta_variable_grid(s, depth, backend=None):
+def beta_variable_grid(s, depth):
     """Depth-n composition with the drifting exponent (j - s)/sqrt(1 + s)."""
-    arr = _as_c128(s)
-    be = backend or BACKEND
-    if be == "numba":
-        v, st = _beta_variable_nb(arr.ravel(), int(depth))
-        return v.reshape(arr.shape), st.reshape(arr.shape)
-    return _beta_variable_np(arr, int(depth))
+    return _beta(s, None, int(depth))
 
 
-def g_comp_grid(w, lam, depth, backend=None):
+def g_comp_grid(w, lam, depth):
     """Depth-n w-coordinate composition f <- w e^f/(e^{lambda j} + w)."""
-    arr = _as_c128(w)
-    be = backend or BACKEND
-    if be == "numba":
-        v, st = _g_comp_nb(arr.ravel(), complex(lam), int(depth))
-        return v.reshape(arr.shape), st.reshape(arr.shape)
-    return _g_comp_np(arr, complex(lam), int(depth))
+    return _g_comp_np(_as_c128(w), complex(lam), int(depth))
 
 
 def available_backends():
-    out = ["numpy"]
-    if _nb is not None:
-        out.insert(0, "numba")
-    return out
-
-
-def set_thread_cap(n):
-    """Cap kernel parallelism (numba threading layer); numpy path is serial."""
-    if _nb is not None and n:
-        try:
-            _nb.set_num_threads(max(1, min(int(n), _nb.config.NUMBA_NUM_THREADS)))
-        except ValueError:
-            pass
-
-
-def warmup():
-    """Force JIT compilation of all kernels (no-op on the numpy backend)."""
-    if BACKEND != "numba":
-        return
-    pts = np.array([0.25 + 0.25j, -2.0 + 0.0j])
-    beta_fixed_grid(pts, 0.7, 4)
-    beta_variable_grid(pts, 4)
-    g_comp_grid(pts, 0.7, 4)
+    """Kernel backends in this build; numpy is the only one."""
+    return [BACKEND]

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .beta import BetaParams, beta_grid, beta_periodicity_check, taylor_coefficients
 from .errors import OK
 from .render import RenderSpec, render_hue
@@ -214,7 +213,6 @@ def crit_render(out_dir):
 
 def run_all(profile="high", out_dir=None, printer=print):
     """Run every criterion; returns a list of CriterionResult."""
-    _kernels.warmup()
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="betatet-accept-")
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .composition import CompositionTerm, compose_finite
 from .errors import (
     OVERFLOW_GUARD,
     SINGULAR_RADIUS,
@@ -28,6 +27,7 @@ from .errors import (
     NonFinite,
     ShortCircuit,
     SingularPoint,
+    raise_for_status,
 )
 
 VARIABLE = "variable"
@@ -56,66 +56,13 @@ class BetaParams:
         return isinstance(self.lam, str)
 
 
-# ------------------------------------------------------------------ q family
-
-def _q_eval(lam, j, s, z):
-    x = lam * (j - s)
-    if x.real > OVERFLOW_GUARD:
-        return cmath.exp(z - x)
-    den = 1.0 + cmath.exp(x)
-    if abs(den) < SINGULAR_RADIUS:
-        raise SingularPoint(f"lambda*({j}-s) within {SINGULAR_RADIUS:g} of the odd lattice")
-    return cmath.exp(z) / den
-
-
-class QFamily:
-    """Term factory for the fixed-lambda family, with its geometric tail bound."""
-
-    def __init__(self, lam):
-        self.lam = complex(lam)
-
-    def __call__(self, j):
-        lam = self.lam
-        return CompositionTerm(index=j, evaluator=lambda s, z, _j=j: _q_eval(lam, _j, s, z))
-
-    def tail_bound(self, n, s):
-        # sum_{j>n} |q_j(s, 0)| <= 2 e^{-Re x} / (1 - e^{-Re lambda}),
-        # valid once Re(lambda (n+1-s)) >= log 2
-        x1 = (self.lam * (n + 1 - s)).real
-        if x1 < math.log(2.0):
-            return math.inf
-        ratio = math.exp(-self.lam.real)
-        return 2.0 * math.exp(-x1) / (1.0 - ratio)
-
-
-class QVariableFamily:
-    """Term factory with the drifting exponent (j - s)/sqrt(1 + s)."""
-
-    def __call__(self, j):
-        def ev(s, z, _j=j):
-            try:
-                r = 1.0 / cmath.sqrt(1.0 + s)
-            except ZeroDivisionError:
-                raise NonFinite("exponent undefined at s = -1") from None
-            x = (_j - s) * r
-            if x.real > OVERFLOW_GUARD:
-                return cmath.exp(z - x)
-            den = 1.0 + cmath.exp(x)
-            if abs(den) < SINGULAR_RADIUS:
-                raise SingularPoint("(j-s)/sqrt(1+s) within exclusion radius of the odd lattice")
-            return cmath.exp(z) / den
-
-        return CompositionTerm(index=j, evaluator=ev)
-
-
 # ---------------------------------------------------------------- evaluators
 
 def beta_eval(params, s):
-    """Depth-n truncation of the infinite composition at z = 0 (scalar)."""
-    s = complex(s)
-    factory = QVariableFamily() if params.is_variable else QFamily(params.lam)
-    terms = [factory(j) for j in range(1, params.depth + 1)]
-    return compose_finite(terms, s, 0j)
+    """Depth-n truncation at one point: beta_grid of one, raising on a failure status."""
+    values, status = beta_grid(params, complex(s))
+    raise_for_status(status[0], "beta evaluation")
+    return complex(values[0])
 
 
 def beta_grid(params, s):

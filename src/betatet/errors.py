@@ -42,14 +42,9 @@ class ShortCircuit(BetaTetError):
     Carries the last finite iterate when one exists.
     """
 
-    def __init__(self, message="overflow guard tripped", last_value=None, terms_used=None):
+    def __init__(self, message="overflow guard tripped", last_value=None):
         super().__init__(message)
         self.last_value = last_value
-        self.terms_used = terms_used
-
-
-# composition-engine name for the same signal
-Overflow = ShortCircuit
 
 
 class SingularPoint(BetaTetError):
@@ -58,17 +53,6 @@ class SingularPoint(BetaTetError):
 
 class NonFinite(BetaTetError):
     """An evaluator produced NaN (or was fed non-finite input)."""
-
-
-class BudgetExhausted(BetaTetError):
-    """Adaptive truncation hit max_terms before reaching tail tolerance.
-
-    The partial result is still available as .result.
-    """
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
 
 
 class BranchCut(BetaTetError):

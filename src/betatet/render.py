@@ -13,12 +13,10 @@ mid-gray (128, 128, 128); |v| = 0 renders black.  Pixels are sampled at
 cell centers, row-major, top row at the maximum imaginary part.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .beta import VARIABLE, BetaParams, beta_grid, g_comp_grid
 from .errors import OK, STATUS_NAMES, DOMAIN
 from .tau import F_grid, TauConfig
@@ -174,9 +172,6 @@ def _apply_overlay(spec, Z, img):
 
 def render_hue(spec):
     """Render a RenderSpec to a PixelBuffer (deterministic byte-for-byte)."""
-    cap = os.environ.get("BETA_TET_THREADS")
-    if cap:
-        _kernels.set_thread_cap(int(cap))
     Z = pixel_grid(spec)
     values, status = _evaluate(spec, Z)
     img = colorize(values, status)

@@ -1,13 +1,6 @@
 import pytest
 
-from betatet import _kernels
 from betatet.tetration import get_model
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens once up front so timing-sensitive tests are fair
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

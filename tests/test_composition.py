@@ -1,3 +1,14 @@
+"""The nested composition beta_n(s) = q_1(s, q_2(s, ... q_n(s, 0))), through the kernel.
+
+q_j(s, z) = e^z / (1 + e^{lambda (j - s)}); shifting s by one shifts every
+index, so q_j(s, .) = q_{j-1}(s - 1, .) and the finite-depth law
+
+    beta_n(s) = e^{beta_{n-1}(s - 1)} / (1 + e^{lambda (1 - s)})
+
+holds at every depth, not only in the limit.
+"""
+
+import cmath
 import math
 
 import numpy as np
@@ -5,55 +16,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betatet import (
-    BudgetExhausted,
-    CompositionTerm,
-    NonFinite,
-    ShortCircuit,
-    compose_adaptive,
-    compose_finite,
-)
-from betatet.beta import QFamily
+from betatet import BetaParams, NonFinite, beta_eval
+from betatet._kernels import beta_fixed_grid
+from betatet.errors import OK, OVERFLOW_GUARD, SHORT_CIRCUIT
 
 LOG2 = math.log(2.0)
 
 
-def const_term(j, value):
-    return CompositionTerm(index=j, evaluator=lambda s, z, v=value: v)
+def beta_n(s, lam, n):
+    v, status = beta_fixed_grid(np.array([s]), lam, n)
+    return complex(v[0]), int(status[0])
 
 
-class ConstFamily:
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, j):
-        return const_term(j, self.value)
-
-
-def test_constant_maps_compose_to_value():
-    terms = [const_term(j, 0.7 + 0.2j) for j in range(1, 6)]
-    assert compose_finite(terms, s=3.0, z0=5.0) == 0.7 + 0.2j
+def law_sides(s, lam, n):
+    """(beta_n(s), e^{beta_{n-1}(s-1)} / (1 + e^{lambda (1 - s)})) in the kernel's arithmetic."""
+    whole, st_whole = beta_n(s, lam, n)
+    inner, st_inner = beta_n(s - 1, lam, n - 1)
+    assert st_whole == OK and st_inner == OK
+    x = np.complex128(lam) * (1 - np.complex128(s))
+    return whole, complex(np.exp(np.complex128(inner)) / (1.0 + np.exp(x)))
 
 
 def test_single_term_value():
-    # one term at s=0, z0=0: e^0 / (e^{log2 * 1} + 1) = 1/3
-    fam = QFamily(LOG2)
-    val = compose_finite([fam(1)], s=0.0, z0=0.0)
-    assert abs(val - 1.0 / 3.0) < 1e-15
+    # one term at s=0: e^0 / (e^{log2 * 1} + 1) = 1/3
+    v, status = beta_n(0.0, LOG2, 1)
+    assert status == OK
+    assert abs(v - 1.0 / 3.0) < 1e-15
 
 
 def test_deep_composition_vanishes_far_left():
-    fam = QFamily(LOG2)
-    terms = [fam(j) for j in range(1, 101)]
-    assert abs(compose_finite(terms, s=-40.0, z0=0.0)) < 1e-12
+    v, status = beta_n(-40.0, LOG2, 100)
+    assert status == OK
+    assert abs(v) < 1e-12
 
 
 def test_nesting_order_exact():
-    fam = QFamily(LOG2)
-    terms = [fam(j) for j in range(1, 31)]
+    # s - 1 is exact at these points, so both sides round identically
     for s in (0.0, -2.0, 1.5 + 0.5j):
-        inner = compose_finite(terms[1:], s, 0.0)
-        assert compose_finite(terms, s, 0.0) == terms[0].evaluator(s, inner)
+        whole, outer = law_sides(s, LOG2, 30)
+        assert whole == outer
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,79 +63,27 @@ def test_nesting_order_exact():
     st.complex_numbers(min_magnitude=0, max_magnitude=3, allow_nan=False, allow_infinity=False),
 )
 def test_nesting_order_property(n, s):
-    fam = QFamily(1.0)
-    terms = [fam(j) for j in range(1, n + 1)]
-    try:
-        whole = compose_finite(terms, s, 0.0)
-        tail = compose_finite(terms[1:], s, 0.0)
-    except (ShortCircuit, Exception):
-        return
-    assert whole == terms[0].evaluator(s, tail)
+    whole, outer = law_sides(s, 1.0, n)
+    assert abs(whole - outer) <= 1e-12 * max(1.0, abs(whole))
 
 
 def test_determinism():
-    fam = QFamily(0.5 + 3j)
-    terms = [fam(j) for j in range(1, 101)]
-    a = compose_finite(terms, 0.3 - 0.7j, 0.0)
-    b = compose_finite(terms, 0.3 - 0.7j, 0.0)
+    a = beta_n(0.3 - 0.7j, 0.5 + 3j, 100)
+    b = beta_n(0.3 - 0.7j, 0.5 + 3j, 100)
     assert a == b
 
 
-def test_adaptive_q_family_tail():
-    fam = QFamily(LOG2)
-    res = compose_adaptive(fam, s=0.0, z0=0.0, tail_tolerance=1e-14, max_terms=512)
-    assert res.terms_used <= 60
-    assert res.tail_estimate < 1e-14
-    assert not res.short_circuited
-    # oracle: direct summation of the neglected terms must sit under the bound
-    with np.errstate(over="ignore"):
-        direct = sum(
-            abs(1.0 / (np.exp(LOG2 * j) + 1.0))
-            for j in range(res.terms_used + 1, res.terms_used + 4000)
-        )
-    assert direct <= res.tail_estimate
-    # value matches a much deeper finite composition
-    deep = compose_finite([fam(j) for j in range(1, 201)], 0.0, 0.0)
-    assert abs(res.value - deep) < 1e-13
-
-
-def test_adaptive_constant_family():
-    fam = ConstFamily(0.25 + 0j)
-    res = compose_adaptive(fam, s=0.0, z0=0.0, tail_tolerance=1e-14, max_terms=10,
-                           attracting=0.25)
-    assert res.terms_used == 1
-    assert res.tail_estimate == 0.0
-    assert res.value == 0.25 + 0j
-
-
-def test_adaptive_budget_exhausted():
-    fam = QFamily(LOG2)
-    with pytest.raises(BudgetExhausted) as exc:
-        compose_adaptive(fam, s=0.0, z0=0.0, tail_tolerance=1e-14, max_terms=2)
-    res = exc.value.result
-    assert res.terms_used == 2
-    assert np.isfinite(res.value.real) and np.isfinite(res.value.imag)
-    assert res.tail_estimate > 1e-14
-
-
 def test_overflow_short_circuit():
-    terms = [QFamily(LOG2)(1), const_term(2, 800.0 + 0j)]
-    with pytest.raises(ShortCircuit) as exc:
-        compose_finite(terms, s=0.0, z0=0.0)
-    assert exc.value.last_value == 800.0 + 0j
+    # at s = 6 the iterate passes the guard at level 1; it is kept, not overflowed
+    v, status = beta_n(6.0, LOG2, 100)
+    assert status == SHORT_CIRCUIT
+    assert v.real > OVERFLOW_GUARD and cmath.isfinite(v)
+    # the kept iterate is exactly the depth-99 value at s - 1, the inner part of the law
+    inner, st_inner = beta_n(5.0, LOG2, 99)
+    assert st_inner == OK
+    assert v == inner
 
 
 def test_nan_term_raises():
-    terms = [const_term(1, complex("nan"))]
     with pytest.raises(NonFinite):
-        compose_finite(terms, s=0.0, z0=0.0)
-
-
-def test_empty_terms_rejected():
-    with pytest.raises(ValueError):
-        compose_finite([], 0.0, 0.0)
-
-
-def test_term_index_validated():
-    with pytest.raises(ValueError):
-        CompositionTerm(index=0, evaluator=lambda s, z: z)
+        beta_eval(BetaParams(lam=LOG2, depth=10), complex("nan"))

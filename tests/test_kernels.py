@@ -1,13 +1,19 @@
+import cmath
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from betatet import _kernels
-from betatet.errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR
+from betatet import BetaParams, BetaTetError, _kernels, beta_eval, beta_grid
+from betatet.errors import (
+    NONFINITE,
+    OK,
+    OVERFLOW_GUARD,
+    SHORT_CIRCUIT,
+    SINGULAR,
+    SINGULAR_RADIUS,
+    raise_for_status,
+)
 
 LOG2 = math.log(2.0)
 
@@ -20,37 +26,97 @@ PROBE = np.array(
         1.0 + 0.5j,
         1 + 1j * math.pi / LOG2,          # singular lattice point
         -0.5 - 0.85j,
+        complex("inf"),
+        complex("-inf"),
+        -1.0 + 0.0j,                      # variable rate 1/sqrt(1+s) undefined
     ],
     np.complex128,
 )
 
-needs_numba = pytest.mark.skipif(
-    "numba" not in _kernels.available_backends(), reason="numba unavailable"
-)
+# (lam, depth) per kernel mode; lam=None is the variable rate.  lambda = 10
+# drives Re x_j past the overflow guard, so the e^{f - x} branch runs.
+MODES = [(LOG2, 100), (0.5 + 3j, 100), (None, 100), (10.0, 100)]
+MODE_IDS = ["log2", "0.5+3i", "variable", "10"]
 
 
-@needs_numba
-@pytest.mark.parametrize("kernel,args", [
-    ("beta_fixed_grid", (LOG2, 100)),
-    ("beta_variable_grid", (100,)),
-    ("g_comp_grid", (LOG2, 50)),
-])
-def test_backend_agreement(kernel, args):
-    fn = getattr(_kernels, kernel)
-    pts = PROBE if kernel != "g_comp_grid" else np.array(
-        [0.1, 0.4 + 0.2j, -2.0, -0.3 + 0.9j, 5.0], np.complex128)
-    v_nb, s_nb = fn(pts, *args, backend="numba")
-    v_np, s_np = fn(pts, *args, backend="numpy")
-    assert np.array_equal(s_nb, s_np)
-    fin = s_nb == OK
-    assert np.allclose(v_nb[fin], v_np[fin], rtol=1e-12, atol=1e-300)
+def oracle(s, lam, depth):
+    """Plain-Python beta recursion for one point, with the kernel's guard order.
+
+    Returns (value, status): a stopped point keeps its last finite iterate.
+    """
+    if lam is None:
+        try:
+            rate = 1.0 / cmath.sqrt(1.0 + s)
+        except ZeroDivisionError:
+            return 0j, NONFINITE
+    else:
+        rate = complex(lam)
+    if not (cmath.isfinite(s) and cmath.isfinite(rate)):
+        return 0j, NONFINITE
+    f = 0j
+    for j in range(depth, 0, -1):
+        x = rate * (j - s)
+        if x.real > OVERFLOW_GUARD:
+            if f.real > OVERFLOW_GUARD:
+                return f, SHORT_CIRCUIT
+            fn = cmath.exp(f - x)
+        else:
+            den = 1.0 + cmath.exp(x)
+            if abs(den) < SINGULAR_RADIUS:
+                return f, SINGULAR
+            if f.real > OVERFLOW_GUARD:
+                return f, SHORT_CIRCUIT
+            try:
+                fn = cmath.exp(f) / den
+            except OverflowError:
+                return f, SHORT_CIRCUIT
+        if not cmath.isfinite(fn):
+            return f, SHORT_CIRCUIT
+        f = fn
+    return f, OK
 
 
-@needs_numba
-def test_variable_kernel_handles_minus_one():
-    for be in ("numba", "numpy"):
-        v, st = _kernels.beta_variable_grid(np.array([-1.0 + 0j]), 50, backend=be)
-        assert st[0] == NONFINITE
+def kernel(s, lam, depth):
+    if lam is None:
+        return _kernels.beta_variable_grid(s, depth)
+    return _kernels.beta_fixed_grid(s, lam, depth)
+
+
+@pytest.mark.parametrize("lam,depth", MODES, ids=MODE_IDS)
+def test_kernel_matches_guard_order_oracle(lam, depth):
+    values, status = kernel(PROBE, lam, depth)
+    for s, v, st in zip(PROBE, values, status):
+        ov, ost = oracle(complex(s), lam, depth)
+        assert st == ost, s
+        assert abs(v - ov) <= 1e-12 * max(1.0, abs(ov)), s
+
+
+@pytest.mark.parametrize("lam", [LOG2, None], ids=["fixed", "variable"])
+def test_nonfinite_input_status(lam):
+    # +-inf in both modes; s = -1 only in variable mode, where the rate is 1/0
+    pts = PROBE[7:] if lam is None else PROBE[7:9]
+    _, status = kernel(pts, lam, 50)
+    assert np.all(status == NONFINITE)
+
+
+@pytest.mark.parametrize("lam", [LOG2, 0.5 + 3j, "variable"], ids=MODE_IDS[:3])
+def test_scalar_is_grid_of_one(lam):
+    params = BetaParams(lam=lam, depth=100)
+    values, status = beta_grid(params, PROBE)
+    for s, v, st in zip(PROBE, values, status):
+        if st == OK:
+            assert beta_eval(params, s) == v
+        else:
+            with pytest.raises(BetaTetError) as grid_exc:
+                raise_for_status(st)
+            with pytest.raises(BetaTetError) as scalar_exc:
+                beta_eval(params, s)
+            assert type(scalar_exc.value) is type(grid_exc.value)
+
+
+def test_backend_facts():
+    assert _kernels.BACKEND == "numpy"
+    assert _kernels.available_backends() == ["numpy"]
 
 
 def test_statuses():
@@ -79,27 +145,3 @@ def test_shape_preserved():
     grid = np.zeros((3, 5), np.complex128) + 0.2
     v, st = _kernels.beta_fixed_grid(grid, LOG2, 20)
     assert v.shape == (3, 5) and st.shape == (3, 5)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, BETA_TET_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from betatet import _kernels; print(_kernels.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_garbage():
-    env = dict(os.environ, BETA_TET_BACKEND="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c", "import betatet"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "BETA_TET_BACKEND" in out.stderr
-
-
-def test_thread_cap_accepts_values():
-    _kernels.set_thread_cap(1)
-    _kernels.set_thread_cap(4)
-    v, st = _kernels.beta_fixed_grid(PROBE, LOG2, 50)
-    assert st[0] == OK

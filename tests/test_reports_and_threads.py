@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -54,31 +53,6 @@ def test_report_residuals_invariant():
         assert len(report.residual_history) >= 1
         if report.contraction_estimate is not None:
             assert len(report.residual_history) >= 2
-
-
-def _render_bytes(extra_env=None):
-    spec = RenderSpec(window=(-0.5, 1.5, -1, 1), resolution=(48, 32), fn="F",
-                      lam=LOG2, depth=10, tau_depth=5)
-    saved = {}
-    extra_env = extra_env or {}
-    for key, val in extra_env.items():
-        saved[key] = os.environ.get(key)
-        os.environ[key] = val
-    try:
-        return render_hue(spec).to_ppm()
-    finally:
-        for key, val in saved.items():
-            if val is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = val
-
-
-def test_render_independent_of_thread_cap():
-    base = _render_bytes()
-    capped = _render_bytes({"BETA_TET_THREADS": "1"})
-    wide = _render_bytes({"BETA_TET_THREADS": "4"})
-    assert base == capped == wide
 
 
 def test_tet_render_smoke():
