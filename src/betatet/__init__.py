@@ -37,6 +37,7 @@ from .tetration import (
     exp_iter,
     get_model,
     slog_eval,
+    slog_grid,
     tet_eval,
     tet_grid,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "exp_iter",
     "get_model",
     "slog_eval",
+    "slog_grid",
     "tet_eval",
     "tet_grid",
     "__version__",

@@ -34,9 +34,10 @@ def _beta(s, lam, depth):
     """Beta recursion over an array of s; lam=None selects the variable rate.
 
     A non-finite s or rate (the variable rate is 1/0 at s = -1) gets the
-    nonfinite status before the first level.  Finished points are compacted away each level, and the e^{f - x} branch
-    (used where Re x passes the overflow guard, since e^x itself would
-    overflow) runs only when a live point needs it.
+    nonfinite status before the first level.  Finished points are compacted
+    away each level, and the e^{f - x} branch (used where Re x passes the
+    overflow guard, since e^x itself would overflow) runs only when a live
+    point needs it.
     """
     s = _as_c128(s)
     with np.errstate(all="ignore"):

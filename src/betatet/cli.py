@@ -122,7 +122,7 @@ def build_parser():
     pp.add_argument("--origin-marker", action="store_true")
 
     pl = _permissive(sub.add_parser("line", help="sample a function on a real interval to CSV"))
-    pl.add_argument("--fn", choices=["beta", "g", "f", "F", "tet"], required=True)
+    pl.add_argument("--fn", choices=["beta", "g", "f", "F", "tet", "slog"], required=True)
     pl.add_argument("--lambda", dest="lam", type=parse_lambda, default=None)
     pl.add_argument("--from", dest="start", type=float, required=True)
     pl.add_argument("--to", dest="stop", type=float, required=True)

@@ -13,6 +13,7 @@ SHORT_CIRCUIT = 2
 NONFINITE = 3
 BRANCH_CUT = 4
 DOMAIN = 5
+NO_CONVERGENCE = 6
 
 STATUS_NAMES = {
     OK: "ok",
@@ -21,6 +22,7 @@ STATUS_NAMES = {
     NONFINITE: "nonfinite",
     BRANCH_CUT: "branch_cut",
     DOMAIN: "domain",
+    NO_CONVERGENCE: "no_convergence",
 }
 
 # e^x overflows IEEE doubles just past x = 709; the guard trips early so the
@@ -77,6 +79,7 @@ _STATUS_EXC = {
     NONFINITE: NonFinite,
     BRANCH_CUT: BranchCut,
     DOMAIN: DomainError,
+    NO_CONVERGENCE: NoConvergence,
 }
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .beta import VARIABLE, BetaParams, beta_grid, g_comp_grid
 from .errors import OK, STATUS_NAMES, DOMAIN
 from .tau import F_grid, TauConfig
-from .tetration import get_model, tet_grid
+from .tetration import get_model, slog_grid, tet_grid
 
 FUNCTIONS = ("beta", "g", "f", "F", "tet")
 
@@ -111,9 +111,10 @@ def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
         config = TauConfig(n=depth, k=tau_depth, scheme=scheme)
         return F_grid(params, config, Z)
     if fn == "tet":
-        model = get_model(n=depth, k=tau_depth)
-        return tet_grid(model, Z)
-    raise ValueError(f"fn must be one of {FUNCTIONS}")
+        return tet_grid(get_model(n=depth, k=tau_depth), Z)
+    if fn == "slog":
+        return slog_grid(get_model(n=depth, k=tau_depth), Z)
+    raise ValueError(f"fn must be one of {FUNCTIONS} or 'slog' (real-line exports only)")
 
 
 def _evaluate(spec, Z):

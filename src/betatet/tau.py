@@ -23,7 +23,7 @@ F(s) = beta(s) + tau(s) satisfies F(s+1) = e^{F(s)} level-exactly.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

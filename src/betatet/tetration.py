@@ -11,9 +11,12 @@ base strip Re(s) in (-1, 0]:
 
 so tet(0) = 1, tet(1) = e, tet(-1) = 0 hold to calibration accuracy and
 tet(s+1) = e^{tet(s)} holds exactly by construction.  The inverse slog is
-implemented on the branch reaching the real base interval [0, e]: Newton
-iteration against a precomputed monotone table, with log/exp reductions
-outside it.
+implemented on the branch reaching the real base interval [0, e]: per-point
+log/exp reductions onto the interval, then Newton iteration seeded from a
+precomputed monotone table.  slog_grid runs Newton on every live target at
+once, with one tet_grid call per step on the stencil [s, s+h, s-h]; points
+that converge or fail leave the batch.  slog_eval and exp_iter are grids of
+one.
 """
 
 import cmath
@@ -26,13 +29,13 @@ import numpy as np
 from .beta import VARIABLE, BetaParams
 from .errors import (
     BRANCH_CUT,
+    DOMAIN,
+    NO_CONVERGENCE,
     OK,
     SHORT_CIRCUIT,
     OVERFLOW_GUARD,
     BranchCut,
     CalibrationFailed,
-    DomainError,
-    NoConvergence,
     raise_for_status,
 )
 from .tau import F_grid, TauConfig
@@ -75,6 +78,41 @@ def _f_line(xs, n, k):
     return F_grid(params, config, np.asarray(xs, np.complex128))
 
 
+def _bracket(n, k):
+    """Integer bracket of F(x) = 1 where F is real, evaluable and increasing."""
+    xs = np.arange(float(_SCAN_LO), float(_SCAN_HI) + 0.5)
+    Fv, st = _f_line(xs, n, k)
+    for i in range(len(xs) - 1):
+        if st[i] != OK or st[i + 1] != OK:
+            continue
+        if abs(Fv[i].imag) > 1e-9 or abs(Fv[i + 1].imag) > 1e-9:
+            continue
+        lo, hi = Fv[i].real, Fv[i + 1].real
+        if hi <= lo:
+            continue
+        if (lo - 1.0) < 0 <= (hi - 1.0):
+            return float(xs[i]), float(xs[i + 1])
+    raise CalibrationFailed(
+        f"no increasing real bracket of F(x)=1 on [{_SCAN_LO}, {_SCAN_HI}] "
+        f"at depth profile n={n}, k={k}")
+
+
+def _bisect(lo, hi, n, k):
+    """Bisect F(x) = 1 on [lo, hi] until the midpoint is an endpoint."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break                   # adjacent doubles: the bracket is final
+        fm, sm = _f_line([mid], n, k)
+        if sm[0] != OK:
+            raise CalibrationFailed(f"F not evaluable at bisection point {mid}")
+        if fm[0].real - 1.0 < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def calibrate(profile="default", n=None, k=None):
     """Locate x0 with F(x0) = 1 and build a TetModel.
 
@@ -87,35 +125,7 @@ def calibrate(profile="default", n=None, k=None):
             n, k = PROFILES[profile]
         except KeyError:
             raise ValueError(f"unknown profile {profile!r}; use one of {sorted(PROFILES)}") from None
-    xs = np.arange(float(_SCAN_LO), float(_SCAN_HI) + 0.5)
-    Fv, st = _f_line(xs, n, k)
-    bracket = None
-    for i in range(len(xs) - 1):
-        if st[i] != OK or st[i + 1] != OK:
-            continue
-        if abs(Fv[i].imag) > 1e-9 or abs(Fv[i + 1].imag) > 1e-9:
-            continue
-        lo, hi = Fv[i].real, Fv[i + 1].real
-        if hi <= lo:
-            continue
-        if (lo - 1.0) < 0 <= (hi - 1.0):
-            bracket = (float(xs[i]), float(xs[i + 1]))
-            break
-    if bracket is None:
-        raise CalibrationFailed(
-            f"no increasing real bracket of F(x)=1 on [{_SCAN_LO}, {_SCAN_HI}] "
-            f"at depth profile n={n}, k={k}")
-    lo, hi = bracket
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm, sm = _f_line([mid], n, k)
-        if sm[0] != OK:
-            raise CalibrationFailed(f"F not evaluable at bisection point {mid}")
-        if fm[0].real - 1.0 < 0:
-            lo = mid
-        else:
-            hi = mid
-    x0 = 0.5 * (lo + hi)
+    x0 = _bisect(*_bracket(n, k), n, k)
 
     table_x = np.linspace(-1.0, 1.0, 257)
     tv, ts = _tet_arrays(table_x, x0, n, k)
@@ -175,13 +185,16 @@ def tet_grid(model, Z):
     return v, st
 
 
-def tet_eval(model, s):
-    """Scalar tetration; raises BranchCut / ShortCircuit on failure."""
-    v, st = _tet_arrays(np.array([complex(s)]), model.x0, model.n, model.k)
-    code = int(st[0])
+def _raise_for_tet(code, s):
     if code == BRANCH_CUT:
         raise BranchCut(f"s={s} within {_CUT_DIST:g} of the cut (-inf, -2]")
     raise_for_status(code, f"tet({s})")
+
+
+def tet_eval(model, s):
+    """Scalar tetration; raises BranchCut / ShortCircuit on failure."""
+    v, st = _tet_arrays(np.array([complex(s)]), model.x0, model.n, model.k)
+    _raise_for_tet(int(st[0]), s)
     return complex(v[0])
 
 
@@ -190,20 +203,14 @@ _NEWTON_H = 1e-6
 _REDUCE_MAX = 64
 
 
-def slog_eval(model, z):
-    """Inverse of tet on the branch through the real base interval [0, e].
-
-    Reductions: slog(z) = slog(log z) + 1 for |z| > e and
-    slog(z) = slog(e^z) - 1 for real z below the interval; inside, Newton
-    iteration on tet seeded from the calibration table.
-    """
-    z = complex(z)
+def _reduce(z):
+    """exp/log steps onto the real base interval [0, e]: (target, shift) or None."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("slog of non-finite value")
+        return None
     shift = 0
     for _ in range(_REDUCE_MAX):
         if abs(z.imag) < 1e-12 and 0.0 <= z.real <= _E + 1e-12:
-            break
+            return z.real, shift
         if abs(z) > _E:
             z = cmath.log(z)
             shift += 1
@@ -211,27 +218,79 @@ def slog_eval(model, z):
             z = cmath.exp(z)
             shift -= 1
         else:
-            raise DomainError(
-                f"z={z} does not reach the real base interval by exp/log steps")
-    else:
-        raise DomainError(f"reduction did not reach the base interval in {_REDUCE_MAX} steps")
+            return None
+    return None
 
-    target = z.real
-    sg = float(np.interp(target, model.table_v, model.table_x))
-    for _ in range(_NEWTON_STEPS):
-        err = tet_eval(model, sg).real - target
-        if abs(err) < 1e-12 * max(1.0, abs(target)):
-            return complex(sg + shift)
-        d = (tet_eval(model, sg + _NEWTON_H).real - tet_eval(model, sg - _NEWTON_H).real) / (2 * _NEWTON_H)
-        if d == 0.0 or not math.isfinite(d):
-            raise NoConvergence(f"flat derivative at s={sg}")
-        sg -= err / d
-    raise NoConvergence(f"Newton did not converge for slog({z})")
+
+def slog_grid(model, Z):
+    """Inverse of tet on the branch through the real base interval [0, e].
+
+    Reductions: slog(z) = slog(log z) + 1 for |z| > e and
+    slog(z) = slog(e^z) - 1 for real z below the interval; a point that does
+    not reach the interval gets DOMAIN.  Inside, Newton iteration on tet is
+    seeded from the calibration table and runs on all live targets at once:
+    each step makes one tet_grid call on [s, s+h, s-h].  A failure status at
+    a Newton point is carried through; a flat or non-finite derivative, or
+    an exhausted step budget, gets NO_CONVERGENCE.  Returns (values, status)
+    with the input shape.
+    """
+    Z = np.asarray(Z, np.complex128)
+    flat = Z.ravel()
+    values = np.full(flat.shape, np.nan, np.complex128)
+    status = np.full(flat.shape, DOMAIN, np.int8)
+    idx, target, shift = [], [], []
+    for i, z in enumerate(flat.tolist()):
+        reduced = _reduce(z)
+        if reduced is not None:
+            idx.append(i)
+            target.append(reduced[0])
+            shift.append(reduced[1])
+    idx = np.array(idx, np.intp)
+    target = np.array(target, np.float64)
+    shift = np.array(shift, np.int64)
+    tol = 1e-12 * np.maximum(1.0, np.abs(target))
+    sg = np.interp(target, model.table_v, model.table_x)
+    status[idx] = NO_CONVERGENCE        # kept by targets still live when the budget ends
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            m = idx.size
+            if not m:
+                break
+            v, st = tet_grid(model, np.concatenate([sg, sg + _NEWTON_H, sg - _NEWTON_H]))
+            v = v.real
+            err = v[:m] - target
+            code = st[:m].copy()
+            done = (code == OK) & (np.abs(err) < tol)
+            values[idx[done]] = sg[done] + shift[done]
+            live = (code == OK) & ~done
+            for stencil in (st[m:2 * m], st[2 * m:]):
+                bad = live & (stencil != OK)
+                code[bad] = stencil[bad]
+                live &= ~bad
+            d = (v[m:2 * m] - v[2 * m:]) / (2 * _NEWTON_H)
+            flat_d = live & ((d == 0.0) | ~np.isfinite(d))
+            code[flat_d] = NO_CONVERGENCE
+            live &= ~flat_d
+            status[idx[~live]] = code[~live]
+            sg = sg[live] - err[live] / d[live]
+            idx, target, shift, tol = idx[live], target[live], shift[live], tol[live]
+    return values.reshape(Z.shape), status.reshape(Z.shape)
+
+
+def slog_eval(model, z):
+    """Scalar slog: slog_grid on one point; raises DomainError / NoConvergence
+    or the signal of a failed tet evaluation."""
+    v, st = slog_grid(model, complex(z))
+    raise_for_status(int(st), f"slog({z})")
+    return complex(v)
 
 
 def exp_iter(model, s, z):
     """Fractional iteration exp o^s (z) = tet(s + slog(z))."""
-    return tet_eval(model, complex(s) + slog_eval(model, z))
+    w = complex(s) + slog_eval(model, z)
+    v, st = tet_grid(model, w)
+    _raise_for_tet(int(st[0]), w)
+    return complex(v[0])
 
 
 class ScanResult(NamedTuple):

@@ -118,6 +118,32 @@ def test_line_writes_csv(tmp_path, capsys):
     assert len(lines) == 51
 
 
+def test_line_slog_writes_csv(tmp_path, capsys):
+    import csv
+
+    import numpy as np
+
+    from betatet import get_model, slog_grid
+    from betatet.errors import STATUS_NAMES
+
+    out = tmp_path / "slog.csv"
+    rc = main(["line", "--fn", "slog", "--from", "-1", "--to", "20",
+               "--samples", "30", "--depth", "8", "--tau-depth", "5", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "re", "im", "status"]
+    xs = np.array([float(r[0]) for r in rows[1:]])
+    vals, st = slog_grid(get_model(n=8, k=5), xs)
+    assert [r[3] for r in rows[1:]] == [STATUS_NAMES[int(c)] for c in st]
+    assert "ok" in {r[3] for r in rows[1:]}
+    for r, v, c in zip(rows[1:], vals, st):
+        if c == 0:
+            assert (float(r[1]), float(r[2])) == (v.real, v.imag)
+        else:
+            assert r[1] == r[2] == "nan"
+
+
 def test_calibrate_prints_x0(capsys):
     rc = main(["calibrate", "--profile", "default"])
     assert rc == 0

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import betatet.tetration as tetration
 from betatet import (
+    BetaTetError,
     BranchCut,
     DomainError,
     derivative_positivity_scan,
     exp_iter,
     slog_eval,
+    slog_grid,
     tet_eval,
     tet_grid,
 )
-from betatet.errors import OK, BRANCH_CUT
+from betatet.errors import _STATUS_EXC, OK, BRANCH_CUT, DOMAIN
 
 
 def test_too_shallow_profile_fails_calibration():
@@ -20,6 +23,21 @@ def test_too_shallow_profile_fails_calibration():
 
     with pytest.raises(CalibrationFailed):
         calibrate(n=1, k=1)
+
+
+def test_bisection_early_exit_matches_full_loop(default_model):
+    # the loop stops once the midpoint is an endpoint; 80 full steps give the same x0
+    n, k = default_model.n, default_model.k
+    lo, hi = tetration._bracket(n, k)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm, sm = tetration._f_line([mid], n, k)
+        assert sm[0] == OK
+        if fm[0].real - 1.0 < 0:
+            lo = mid
+        else:
+            hi = mid
+    assert default_model.x0 == 0.5 * (lo + hi)
 
 
 def test_model_metadata(high_model):
@@ -171,3 +189,72 @@ def test_upper_half_plane_nonvanishing_sample(high_model):
     ok = st == OK
     assert ok.sum() > 0.9 * Z.size
     assert np.abs(vals[ok]).min() > 1e-3
+
+
+def _slog_points():
+    pts = []
+    for t in np.linspace(0.0, 2.7, 136):
+        t = float(t)
+        pts += [t, math.exp(t)] + ([math.log(t)] if t > 0 else [])
+    return np.array(pts + [-5.0, 1 + 1j, math.nan, math.inf, -math.inf], np.complex128)
+
+
+def test_slog_grid_matches_scalar(default_model):
+    # the same value where the grid is OK, else the class the scalar call raises;
+    # targets where Newton fails are compared, not pinned
+    Z = _slog_points()
+    vals, st = slog_grid(default_model, Z)
+    assert st[-4:].tolist() == [DOMAIN] * 4
+    for z, v, code in zip(Z, vals, st):
+        try:
+            got = slog_eval(default_model, z)
+        except BetaTetError as exc:
+            assert code != OK and type(exc) is _STATUS_EXC[int(code)], z
+        else:
+            assert code == OK and got == v, z
+
+
+def test_slog_grid_preserves_shape(high_model):
+    v, st = slog_grid(high_model, 0.5)
+    assert v.shape == () and st.shape == () and st == OK
+    assert v == slog_eval(high_model, 0.5)
+    Z = np.array([[0.0, 1.0, math.e], [-0.5, 1 + 1j, 20.0]])
+    v, st = slog_grid(high_model, Z)
+    assert v.shape == Z.shape and st.shape == Z.shape
+    assert st[1, 1] == DOMAIN
+    assert abs(v[0, 1]) < 1e-8 and abs(v[0, 2] - 1.0) < 1e-8
+
+
+def _newton_reference(model, target):
+    """Scalar Newton on tet_eval; returns (s, iterations)."""
+    s = float(np.interp(target, model.table_v, model.table_x))
+    h = tetration._NEWTON_H
+    for i in range(tetration._NEWTON_STEPS):
+        err = tet_eval(model, s).real - target
+        if abs(err) < 1e-12 * max(1.0, abs(target)):
+            return s, i + 1
+        s -= err / ((tet_eval(model, s + h).real - tet_eval(model, s - h).real) / (2 * h))
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_slog_grid_one_tet_grid_call_per_newton_step(high_model, monkeypatch):
+    targets = [0.3, 1.0, 2.2, 2.6]
+    ref = [_newton_reference(high_model, t) for t in targets]
+    sizes = []
+    real_tet_grid = tetration.tet_grid
+
+    def counting(model, Z):
+        sizes.append(np.size(Z))
+        return real_tet_grid(model, Z)
+
+    def forbidden(*args):
+        raise AssertionError("slog_grid called tet_eval")
+
+    monkeypatch.setattr(tetration, "tet_grid", counting)
+    monkeypatch.setattr(tetration, "tet_eval", forbidden)
+    vals, st = slog_grid(high_model, targets)
+    assert np.all(st == OK)
+    assert vals.real.tolist() == [s for s, _ in ref]
+    steps = max(n for _, n in ref)
+    assert steps > 1
+    assert sizes == [3 * sum(n > j for _, n in ref) for j in range(steps)]
