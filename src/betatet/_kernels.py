@@ -1,17 +1,19 @@
 """Hot composition kernels, vectorized with numpy.
 
-The beta kernel evaluates depth-n truncations of the nested map
+Both recursions of the map family run on one compacting loop, `_compose`,
+which evaluates a depth-n truncation innermost term first, j = n, ..., 1.
+The beta kernel steps
 
-    f <- e^f / (1 + e^{x_j}),   j = n, n-1, ..., 1
+    f <- e^f / (1 + e^{x_j}),   x_j = rate (j - s),   from f = 0,
 
-innermost term first, starting from f = 0, with the per-point exponent
-x_j = rate (j - s).  The rate is lambda for the fixed family and
-1/sqrt(1 + s) for the variable one, so both families share one loop.  The
-w-coordinate kernel uses f <- w e^f / (e^{lambda j} + w).
+where the rate is lambda for the fixed family and 1/sqrt(1 + s) for the
+variable one.  The w-coordinate kernel steps f <- w e^f / (e^{lambda j} + w),
+the same map under w = e^{lambda s}; g_eval runs it from its Taylor value.
 
-Every kernel applies the same guards to each point, in this order: singular
+`_compose` applies the same guards to each point, in this order: singular
 denominator, then overflow guard, then non-finite update.  A point stops at
-the first guard it trips and keeps its last finite iterate.
+the first guard it trips and keeps its last finite iterate; a point with a
+non-finite input gets the nonfinite status before the first level.
 """
 
 import numpy as np
@@ -30,80 +32,77 @@ def _isfinite(z):
     return np.isfinite(z.real) & np.isfinite(z.imag)
 
 
-def _beta(s, lam, depth):
-    """Beta recursion over an array of s; lam=None selects the variable rate.
+def _compose(level, depth, f, *inputs):
+    """Run f <- level(j, f, *inputs) for j = depth, ..., 1; returns (values, status).
 
-    A non-finite s or rate (the variable rate is 1/0 at s = -1) gets the
-    nonfinite status before the first level.  Finished points are compacted
-    away each level, and the e^{f - x} branch (used where Re x passes the
-    overflow guard, since e^x itself would overflow) runs only when a live
-    point needs it.
+    level returns the update and its singular mask.  Points that stop are
+    compacted away each level together with their inputs, which stay named
+    arrays: numpy may compute a product with a temporary operand in place,
+    swapping the operands, and complex multiplication with FMA is not
+    bitwise commutative, so gathering inside level would change last bits.
     """
-    s = _as_c128(s)
-    with np.errstate(all="ignore"):
-        rate = 1.0 / np.sqrt(1.0 + s) if lam is None else np.full(s.shape, complex(lam))
-    values = np.zeros(s.shape, np.complex128)
-    status = np.zeros(s.shape, np.int8)
+    values = f.copy()
+    status = np.zeros(f.shape, np.int8)
     out_v, out_st = values.reshape(-1), status.reshape(-1)
-    finite = (_isfinite(s) & _isfinite(rate)).ravel()
+    finite = np.logical_and.reduce([_isfinite(a) for a in inputs]).ravel()
     out_st[~finite] = NONFINITE
     idx = np.flatnonzero(finite)
-    sl, rl = s.ravel()[idx], rate.ravel()[idx]
-    f = np.zeros(idx.size, np.complex128)
+    inputs = [a.ravel()[idx] for a in inputs]
+    f = out_v[idx]
     with np.errstate(all="ignore"):
         for j in range(depth, 0, -1):
             if not idx.size:
                 break
-            x = rl * (j - sl)
-            big = x.real > OVERFLOW_GUARD
-            den = 1.0 + np.exp(x)
-            sing = ~big & (np.abs(den) < SINGULAR_RADIUS)
-            ovf = f.real > OVERFLOW_GUARD
-            fn = np.exp(f) / den
-            if big.any():
-                fn[big] = np.exp(f[big] - x[big])
-            stop = sing | ovf | ~_isfinite(fn)
+            fn, sing = level(j, f, *inputs)
+            stop = sing | (f.real > OVERFLOW_GUARD) | ~_isfinite(fn)
             if stop.any():
                 at = idx[stop]
                 out_v[at] = f[stop]
                 out_st[at] = np.where(sing[stop], SINGULAR, SHORT_CIRCUIT)
                 keep = ~stop
-                idx, sl, rl, f = idx[keep], sl[keep], rl[keep], fn[keep]
+                idx, f = idx[keep], fn[keep]
+                inputs = [a[keep] for a in inputs]
             else:
                 f = fn
     out_v[idx] = f
     return values, status
 
 
-def _g_comp_np(w, lam, depth):
-    f = np.zeros(w.shape, np.complex128)
-    status = np.zeros(w.shape, np.int8)
-    active = np.isfinite(w.real) & np.isfinite(w.imag)
-    status[~active] = 3
+def _beta_level(j, f, s, rate):
+    # past the overflow guard e^x itself would overflow: use e^{f - x}
+    x = rate * (j - s)
+    big = x.real > OVERFLOW_GUARD
+    den = 1.0 + np.exp(x)
+    fn = np.exp(f) / den
+    if big.any():
+        fn[big] = np.exp(f[big] - x[big])
+    return fn, ~big & (np.abs(den) < SINGULAR_RADIUS)
+
+
+def _beta(s, lam, depth):
+    """Beta recursion over an array of s; lam=None selects the variable rate
+    (1/0 at s = -1, so that point is nonfinite)."""
+    s = _as_c128(s)
     with np.errstate(all="ignore"):
-        for j in range(depth, 0, -1):
-            x = lam * j
-            big = x.real > OVERFLOW_GUARD
-            if big:
-                ovf = active & (f.real > OVERFLOW_GUARD)
-                status[ovf] = 2
-                active &= ~ovf
-                fn = w * np.exp(f - x)
-            else:
-                ej = np.exp(x)
-                den = ej + w
-                sing = active & (np.abs(den) < SINGULAR_RADIUS * abs(ej))
-                status[sing] = 1
-                active &= ~sing
-                ovf = active & (f.real > OVERFLOW_GUARD)
-                status[ovf] = 2
-                active &= ~ovf
-                fn = w * np.exp(f) / den
-            bad = active & ~(np.isfinite(fn.real) & np.isfinite(fn.imag))
-            status[bad] = 2
-            active &= ~bad
-            f = np.where(active, fn, f)
-    return f, status
+        rate = 1.0 / np.sqrt(1.0 + s) if lam is None else np.full(s.shape, complex(lam))
+    return _compose(_beta_level, depth, np.zeros(s.shape, np.complex128), s, rate)
+
+
+def _w(w, lam, depth, f=None):
+    """w-coordinate recursion over an array of w, from f (default 0)."""
+    w = _as_c128(w)
+    lam = complex(lam)
+
+    def level(j, f, w):
+        x = lam * j
+        if x.real > OVERFLOW_GUARD:
+            return w * np.exp(f - x), np.zeros(f.shape, bool)
+        ej = np.exp(x)
+        den = ej + w
+        return w * np.exp(f) / den, np.abs(den) < SINGULAR_RADIUS * abs(ej)
+
+    f = np.zeros(w.shape, np.complex128) if f is None else np.broadcast_to(f, w.shape)
+    return _compose(level, depth, f, w)
 
 
 def beta_fixed_grid(s, lam, depth):
@@ -122,7 +121,7 @@ def beta_variable_grid(s, depth):
 
 def g_comp_grid(w, lam, depth):
     """Depth-n w-coordinate composition f <- w e^f/(e^{lambda j} + w)."""
-    return _g_comp_np(_as_c128(w), complex(lam), int(depth))
+    return _w(w, lam, int(depth))
 
 
 def available_backends():

@@ -20,15 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    OVERFLOW_GUARD,
-    SINGULAR_RADIUS,
-    DomainError,
-    NonFinite,
-    ShortCircuit,
-    SingularPoint,
-    raise_for_status,
-)
+from .errors import SHORT_CIRCUIT, DomainError, NonFinite, ShortCircuit, raise_for_status
 
 VARIABLE = "variable"
 
@@ -161,8 +153,9 @@ def g_eval(series_or_params, w, terms=40):
 
     The argument is pulled inside |w| <= 0.35 e^{Re lambda} by repeated
     division by e^lambda, summed there, then pushed back out through
-    g(e^lambda w) = (w/(w+1)) e^{g(w)}; each push-out step checks the
-    excluded point w = -e^{lambda j} and the overflow guard.
+    g(e^lambda w) = (w/(w+1)) e^{g(w)}: the w kernel runs one level per
+    pull, starting from the Taylor value, with its singular and overflow
+    guards.
     """
     series = _resolve_series(series_or_params, terms)
     w = complex(w)
@@ -170,8 +163,7 @@ def g_eval(series_or_params, w, terms=40):
         raise NonFinite("w is not finite")
     if w == 0:
         return 0j
-    lam = series.lam
-    elam = cmath.exp(lam)
+    elam = cmath.exp(series.lam)
     thresh = _TAYLOR_FRACTION * series.radius
     wi = w
     pulls = 0
@@ -180,18 +172,15 @@ def g_eval(series_or_params, w, terms=40):
         pulls += 1
         if pulls > _MAX_PULL_STEPS:
             raise ShortCircuit(f"|w|={abs(w):.3g} needs more than {_MAX_PULL_STEPS} pull-in steps")
-    mono = series.monomial()
     value = 0j
-    for c in mono[::-1]:
+    for c in series.monomial()[::-1]:
         value = value * wi + c
-    for _ in range(pulls):
-        if abs(1.0 + wi) < SINGULAR_RADIUS:
-            raise SingularPoint("w within exclusion radius of -e^{lambda j}")
-        if value.real > OVERFLOW_GUARD:
-            raise ShortCircuit("push-out exponential exceeds double range", last_value=value)
-        value = (wi / (wi + 1.0)) * cmath.exp(value)
-        wi *= elam
-    return value
+    values, status = _kernels._w(w, series.lam, pulls, value)
+    if status[0] == SHORT_CIRCUIT:
+        raise ShortCircuit("push-out exponential exceeds double range",
+                           last_value=complex(values[0]))
+    raise_for_status(status[0], f"g({w}) push-out")
+    return complex(values[0])
 
 
 def f_eval(series_or_params, w, terms=40):
@@ -200,11 +189,6 @@ def f_eval(series_or_params, w, terms=40):
     if w == 0:
         raise DomainError("f is undefined at w = 0")
     return g_eval(series_or_params, 1.0 / w, terms=terms)
-
-
-def g_comp_grid(lam, w, depth):
-    """Depth-n w-coordinate composition over an array (render semantics)."""
-    return _kernels.g_comp_grid(w, lam, depth)
 
 
 def singular_lattice(lam, window, jmax=64, kmax=64):

@@ -12,7 +12,7 @@ import sys
 
 from .beta import VARIABLE, BetaParams, beta_eval, f_eval, g_eval, taylor_coefficients
 from .errors import BetaTetError
-from .render import Overlay, RenderSpec, export_real_line, render_hue, write_csv
+from .render import FUNCTIONS, Overlay, RenderSpec, export_real_line, render_hue, write_csv
 from .tau import F_eval, TauConfig
 from .tetration import get_model, tet_eval
 
@@ -91,7 +91,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = _permissive(sub.add_parser("eval", help="evaluate one function at one point"))
-    pe.add_argument("fn", choices=["beta", "g", "f", "F", "tet"])
+    pe.add_argument("fn", choices=FUNCTIONS)
     pe.add_argument("--lambda", dest="lam", type=parse_lambda, default=None,
                     help="complex 'a+bi' or the literal 'variable'")
     pe.add_argument("--s", dest="point", type=parse_complex, required=True,
@@ -108,7 +108,7 @@ def build_parser():
     pt.add_argument("--terms", type=int, required=True)
 
     pp = _permissive(sub.add_parser("plot", help="domain-coloring render to PPM (P6)"))
-    pp.add_argument("--fn", choices=["beta", "g", "f", "F", "tet"], required=True)
+    pp.add_argument("--fn", choices=FUNCTIONS, required=True)
     pp.add_argument("--lambda", dest="lam", type=parse_lambda, default=None)
     pp.add_argument("--window", type=_window, required=True,
                     help="re_min,re_max,im_min,im_max")
@@ -122,7 +122,7 @@ def build_parser():
     pp.add_argument("--origin-marker", action="store_true")
 
     pl = _permissive(sub.add_parser("line", help="sample a function on a real interval to CSV"))
-    pl.add_argument("--fn", choices=["beta", "g", "f", "F", "tet", "slog"], required=True)
+    pl.add_argument("--fn", choices=[*FUNCTIONS, "slog"], required=True)
     pl.add_argument("--lambda", dest="lam", type=parse_lambda, default=None)
     pl.add_argument("--from", dest="start", type=float, required=True)
     pl.add_argument("--to", dest="stop", type=float, required=True)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beta import VARIABLE, BetaParams, beta_grid, g_comp_grid
+from . import _kernels
+from .beta import VARIABLE, BetaParams, beta_grid
 from .errors import OK, STATUS_NAMES, DOMAIN
 from .tau import F_grid, TauConfig
 from .tetration import get_model, slog_grid, tet_grid
@@ -95,15 +96,12 @@ def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
         params = BetaParams(lam=lam, depth=depth)
         return beta_grid(params, Z)
     if fn == "g":
-        return g_comp_grid(lam, Z, depth)
+        return _kernels.g_comp_grid(Z, lam, depth)
     if fn == "f":
-        status = np.zeros(Z.shape, np.int8)
         zero = Z == 0
-        status[zero] = DOMAIN
         with np.errstate(all="ignore"):
-            W = np.where(zero, 1.0, 1.0 / Z)
-        vals, st = g_comp_grid(lam, W, depth)
-        st = np.where(zero, status, st)
+            vals, st = _kernels.g_comp_grid(np.where(zero, 1.0, 1.0 / Z), lam, depth)
+        st[zero] = DOMAIN
         return vals, st
     if fn == "F":
         params = BetaParams(lam=lam, depth=depth)

@@ -20,6 +20,7 @@ one.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from .errors import (
     BRANCH_CUT,
     DOMAIN,
     NO_CONVERGENCE,
+    NONFINITE,
     OK,
     SHORT_CIRCUIT,
     OVERFLOW_GUARD,
@@ -38,7 +40,7 @@ from .errors import (
     CalibrationFailed,
     raise_for_status,
 )
-from .tau import F_grid, TauConfig
+from .tau import F_grid, TauConfig, _on_cut
 
 PROFILES = {
     "default": (8, 5),
@@ -57,11 +59,8 @@ class TetModel:
     x0: float
     n: int
     k: int
-    theta: float = math.pi / 4          # sector half-angle for the variable map
-    base_strip: tuple = (-1.0, 0.0)
     table_x: np.ndarray = None
     table_v: np.ndarray = None
-    profile: str = "custom"
 
     @property
     def config(self):
@@ -113,6 +112,16 @@ def _bisect(lo, hi, n, k):
     return 0.5 * (lo + hi)
 
 
+def _depths(profile, n, k):
+    """(n, k) as given, or the named profile's when either is None."""
+    if n is not None and k is not None:
+        return n, k
+    try:
+        return PROFILES[profile]
+    except KeyError:
+        raise ValueError(f"unknown profile {profile!r}; use one of {sorted(PROFILES)}") from None
+
+
 def calibrate(profile="default", n=None, k=None):
     """Locate x0 with F(x0) = 1 and build a TetModel.
 
@@ -120,11 +129,7 @@ def calibrate(profile="default", n=None, k=None):
     change of F - 1 where F is real, evaluable, and increasing; bisection
     then runs to double-precision width.
     """
-    if n is None or k is None:
-        try:
-            n, k = PROFILES[profile]
-        except KeyError:
-            raise ValueError(f"unknown profile {profile!r}; use one of {sorted(PROFILES)}") from None
+    n, k = _depths(profile, n, k)
     x0 = _bisect(*_bracket(n, k), n, k)
 
     table_x = np.linspace(-1.0, 1.0, 257)
@@ -134,8 +139,7 @@ def calibrate(profile="default", n=None, k=None):
     table_v = tv.real
     if not np.all(np.diff(table_v) > 0):
         raise CalibrationFailed("tetration not increasing on the base interval")
-    prof = profile if (n, k) == PROFILES.get(profile, (None, None)) else "custom"
-    model = TetModel(x0=x0, n=n, k=k, table_x=table_x, table_v=table_v, profile=prof)
+    model = TetModel(x0=x0, n=n, k=k, table_x=table_x, table_v=table_v)
     anchor = abs(complex(tet_eval(model, 0.0)) - 1.0)
     if anchor > 1e-10:
         raise CalibrationFailed(f"|tet(0) - 1| = {anchor:.3g} after bisection")
@@ -143,37 +147,47 @@ def calibrate(profile="default", n=None, k=None):
 
 
 def _tet_arrays(Z, x0, n, k):
-    """Step-recursion evaluation over an array; returns (values, status)."""
+    """Step-recursion evaluation over an array; returns (values, status).
+
+    The cut test runs first, so -inf is branch_cut; any other non-finite s is
+    nonfinite.  Step counts stay floats, so no |Re s| overflows them.  Each
+    loop ends once no point is live: exp stops at the overflow guard, log at
+    the cut or once a step leaves the value unchanged (log's fixed point).
+    """
     Z = np.atleast_1d(np.asarray(Z, np.complex128))
     status = np.zeros(Z.shape, np.int8)
     # distance to the cut (-inf, -2]
     on_tail = Z.real <= -2.0
     dist = np.where(on_tail, np.abs(Z.imag), np.abs(Z - (-2.0)))
     status[dist < _CUT_DIST] = BRANCH_CUT
-    steps = np.ceil(Z.real).astype(np.int64)
-    steps[status != OK] = 0
+    status[(status == OK) & ~(np.isfinite(Z.real) & np.isfinite(Z.imag))] = NONFINITE
+    steps = np.where(status == OK, np.ceil(Z.real), 0.0)
     base = Z - steps + x0
     vals, fst = _f_line(base.ravel(), n, k)
     vals = vals.reshape(Z.shape)
-    fst = fst.reshape(Z.shape)
-    ok = status == OK
-    status[ok] = fst[ok]
+    status = np.where(status == OK, fst.reshape(Z.shape), status)
     with np.errstate(all="ignore"):
-        up = int(steps.max(initial=0))
-        for step in range(1, up + 1):
-            m = (steps >= step) & (status == OK)
-            ovf = m & (vals.real > OVERFLOW_GUARD)
+        live = (steps > 0) & (status == OK)
+        for step in itertools.count(1):
+            live &= steps >= step
+            if not live.any():
+                break
+            ovf = live & (vals.real > OVERFLOW_GUARD)
             status[ovf] = SHORT_CIRCUIT
-            m &= ~ovf
-            vals[m] = np.exp(vals[m])
-        down = int(-steps.min(initial=0))
-        for step in range(1, down + 1):
-            m = (steps <= -step) & (status == OK)
-            tiny = m & (np.abs(vals) < 1e-300)
-            oncut = m & (vals.real <= 0) & (np.abs(vals.imag) <= 1e-12 * np.abs(vals.real))
-            status[tiny | oncut] = SHORT_CIRCUIT
-            m &= ~(tiny | oncut)
-            vals[m] = np.log(vals[m])
+            live &= ~ovf
+            vals[live] = np.exp(vals[live])
+        live = (steps < 0) & (status == OK)
+        for step in itertools.count(1):
+            live &= steps <= -step
+            if not live.any():
+                break
+            cut = live & _on_cut(vals)
+            status[cut] = SHORT_CIRCUIT
+            live &= ~cut
+            old = vals[live]
+            new = np.log(old)
+            vals[live] = new
+            live[live] = new != old
     return vals, status
 
 
@@ -327,8 +341,8 @@ _MODEL_CACHE = {}
 
 
 def get_model(profile="default", n=None, k=None):
-    """Calibrate once per depth profile and cache the model."""
-    key = (profile, n, k)
-    if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = calibrate(profile=profile, n=n, k=k)
-    return _MODEL_CACHE[key]
+    """Calibrate once per resolved depth profile (n, k) and cache the model."""
+    n, k = _depths(profile, n, k)
+    if (n, k) not in _MODEL_CACHE:
+        _MODEL_CACHE[n, k] = calibrate(n=n, k=k)
+    return _MODEL_CACHE[n, k]

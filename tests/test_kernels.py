@@ -129,6 +129,52 @@ def test_statuses():
     assert st2[0] == NONFINITE
 
 
+def w_oracle(w, lam, depth):
+    """Plain-Python w-coordinate recursion for one point, with the kernel's guard order."""
+    if not cmath.isfinite(w):
+        return 0j, NONFINITE
+    f = 0j
+    for j in range(depth, 0, -1):
+        x = lam * j
+        if x.real > OVERFLOW_GUARD:
+            if f.real > OVERFLOW_GUARD:
+                return f, SHORT_CIRCUIT
+            fn = w * cmath.exp(f - x)
+        else:
+            ej = cmath.exp(x)
+            den = ej + w
+            if abs(den) < SINGULAR_RADIUS * abs(ej):
+                return f, SINGULAR
+            if f.real > OVERFLOW_GUARD:
+                return f, SHORT_CIRCUIT
+            fn = w * cmath.exp(f) / den
+        if not cmath.isfinite(fn):
+            return f, SHORT_CIRCUIT
+        f = fn
+    return f, OK
+
+
+# Re(lambda) = 800 puts Re(lambda j) past the overflow guard, so the
+# w e^{f - lambda j} branch runs at every level; -e^{2 lambda} is not a double
+# there.  With 800+1i, e^{lambda j} itself would be inf+inf*i.
+W_MODES = [(LOG2, 100), (0.5 + 3j, 100), (800.0, 3), (800 + 1j, 3)]
+
+
+@pytest.mark.parametrize("lam,depth", W_MODES, ids=["log2", "0.5+3i", "800", "800+1i"])
+def test_w_kernel_matches_guard_order_oracle(lam, depth):
+    lam = complex(lam)
+    singular = -cmath.exp(2 * lam) if 2 * lam.real < OVERFLOW_GUARD else -1e300
+    probe = np.array([0, 0.4 + 0.2j, singular, 1e300, complex("inf"), complex("nan")],
+                     np.complex128)
+    values, status = _kernels.g_comp_grid(probe, lam, depth)
+    for w, v, st in zip(probe, values, status):
+        ov, ost = w_oracle(complex(w), lam, depth)
+        assert st == ost, w
+        assert abs(v - ov) <= 1e-12 * max(1.0, abs(ov)), w
+    if lam.real < OVERFLOW_GUARD:
+        assert list(status) == [OK, OK, SINGULAR, SHORT_CIRCUIT, NONFINITE, NONFINITE]
+
+
 def test_g_comp_singular_point():
     w = np.array([-math.exp(LOG2 * 2)], np.complex128)   # -e^{2 lambda}
     v, st = _kernels.g_comp_grid(w, LOG2, 10)

@@ -14,7 +14,7 @@ from betatet import (
     g_eval,
     taylor_coefficients,
 )
-from betatet.beta import g_comp_grid
+from betatet._kernels import g_comp_grid
 from betatet.errors import OK
 
 LOG2 = math.log(2.0)
@@ -99,7 +99,7 @@ def test_g_continuation_consistency():
 
 def test_g_matches_depth_composition():
     lam = LOG2
-    vals, st = g_comp_grid(lam, np.array([0.1, 0.4 + 0.2j, -0.3]), 100)
+    vals, st = g_comp_grid(np.array([0.1, 0.4 + 0.2j, -0.3]), lam, 100)
     assert np.all(st == OK)
     for w, v in zip([0.1, 0.4 + 0.2j, -0.3], vals):
         assert abs(g_eval(lam, w) - v) < 1e-9
@@ -108,6 +108,13 @@ def test_g_matches_depth_composition():
 def test_g_singular_point():
     with pytest.raises(SingularPoint):
         g_eval(LOG2, -2.0)  # the first excluded point -e^{lambda}
+
+
+def test_g_short_circuit_keeps_last_value():
+    with pytest.raises(ShortCircuit) as exc:
+        g_eval(LOG2, 50.0)
+    last = exc.value.last_value
+    assert last is not None and cmath.isfinite(last)
 
 
 def test_f_is_reciprocal_of_g():

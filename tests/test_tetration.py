@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,12 +11,13 @@ from betatet import (
     DomainError,
     derivative_positivity_scan,
     exp_iter,
+    get_model,
     slog_eval,
     slog_grid,
     tet_eval,
     tet_grid,
 )
-from betatet.errors import _STATUS_EXC, OK, BRANCH_CUT, DOMAIN
+from betatet.errors import _STATUS_EXC, OK, BRANCH_CUT, DOMAIN, NONFINITE, SHORT_CIRCUIT
 
 
 def test_too_shallow_profile_fails_calibration():
@@ -42,9 +44,11 @@ def test_bisection_early_exit_matches_full_loop(default_model):
 
 def test_model_metadata(high_model):
     assert high_model.n == 100 and high_model.k == 20
-    assert high_model.base_strip == (-1.0, 0.0)
-    assert 0 < high_model.theta < math.pi / 2
     assert -5 <= high_model.x0 <= 10
+
+
+def test_one_calibration_per_depth_profile(high_model):
+    assert get_model("high") is get_model(n=100, k=20) is high_model
 
 
 def test_anchor_values_high(high_model):
@@ -164,6 +168,30 @@ def test_monotone_strip(high_model):
 def test_short_circuit_far_right(high_model):
     vals, st = tet_grid(high_model, np.array([8.0]))
     assert st[0] != OK
+
+
+def test_nan_does_not_corrupt_the_batch(default_model):
+    v, st = tet_grid(default_model, np.array([-1.5, complex("nan")]))
+    assert list(st) == [OK, NONFINITE]
+    assert v[0] == tet_eval(default_model, -1.5)
+    assert abs(v[0] - cmath.log(tet_eval(default_model, -0.5))) < 1e-14
+
+
+def _log_fixed_point(z):
+    for _ in range(200):
+        z = cmath.log(z)
+    return z
+
+
+@pytest.mark.parametrize("far", [1e6, 1e19])
+def test_far_tails(default_model, far):
+    # right: exp overflows within a few steps; left, off the cut: the log
+    # steps reach log's fixed point L (conj(L) below the axis); on it: the cut
+    Z = np.array([far, far + 1j, -far + 1j, -far - 1j, -far], np.complex128)
+    v, st = tet_grid(default_model, Z)
+    assert list(st) == [SHORT_CIRCUIT, SHORT_CIRCUIT, OK, OK, BRANCH_CUT]
+    L = _log_fixed_point(1j)
+    assert abs(v[2] - L) < 1e-14 and abs(v[3] - L.conjugate()) < 1e-14
 
 
 def test_nonreal_off_axis_segments(high_model):
