@@ -40,6 +40,8 @@ def _compose(level, depth, f, *inputs):
     arrays: numpy may compute a product with a temporary operand in place,
     swapping the operands, and complex multiplication with FMA is not
     bitwise commutative, so gathering inside level would change last bits.
+    For the same reason a level writes each product with its temporary
+    operand on the left, so its bits do not depend on the batch size.
     """
     values = f.copy()
     status = np.zeros(f.shape, np.int8)
@@ -70,7 +72,7 @@ def _compose(level, depth, f, *inputs):
 
 def _beta_level(j, f, s, rate):
     # past the overflow guard e^x itself would overflow: use e^{f - x}
-    x = rate * (j - s)
+    x = (j - s) * rate
     big = x.real > OVERFLOW_GUARD
     den = 1.0 + np.exp(x)
     fn = np.exp(f) / den
@@ -96,10 +98,11 @@ def _w(w, lam, depth, f=None):
     def level(j, f, w):
         x = lam * j
         if x.real > OVERFLOW_GUARD:
-            return w * np.exp(f - x), np.zeros(f.shape, bool)
+            # e^{lambda j} would overflow: w e^f/(e^x + w) = w e^{f-x}/(1 + w e^{-x})
+            return np.exp(f - x) * w / (1.0 + w * np.exp(-x)), np.zeros(f.shape, bool)
         ej = np.exp(x)
         den = ej + w
-        return w * np.exp(f) / den, np.abs(den) < SINGULAR_RADIUS * abs(ej)
+        return np.exp(f) * w / den, np.abs(den) < SINGULAR_RADIUS * abs(ej)
 
     f = np.zeros(w.shape, np.complex128) if f is None else np.broadcast_to(f, w.shape)
     return _compose(level, depth, f, w)

@@ -13,16 +13,8 @@ import sys
 from .beta import VARIABLE, BetaParams, beta_eval, f_eval, g_eval, taylor_coefficients
 from .errors import BetaTetError
 from .render import FUNCTIONS, Overlay, RenderSpec, export_real_line, render_hue, write_csv
-from .tau import F_eval, TauConfig
-from .tetration import get_model, tet_eval
-
-_COMPLEX_RE = re.compile(
-    r"""^\s*
-        (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-        (?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?[ij]?
-        \s*$""",
-    re.VERBOSE,
-)
+from .tau import SCHEMES, F_eval, TauConfig
+from .tetration import PROFILES, get_model, tet_eval
 
 
 def parse_complex(text):
@@ -98,9 +90,8 @@ def build_parser():
                     help="evaluation point (w-coordinate for g and f)")
     pe.add_argument("--depth", type=int, default=100)
     pe.add_argument("--tau-depth", type=int, default=10)
-    pe.add_argument("--scheme", choices=["fixed_n", "matched", "variable_lambda"],
-                    default=None)
-    pe.add_argument("--profile", choices=["default", "high"], default="default",
+    pe.add_argument("--scheme", choices=SCHEMES, default=None)
+    pe.add_argument("--profile", choices=PROFILES, default="default",
                     help="tet calibration profile")
 
     pt = _permissive(sub.add_parser("taylor", help="print Taylor derivatives a_k of g"))
@@ -116,7 +107,7 @@ def build_parser():
     pp.add_argument("--out", required=True)
     pp.add_argument("--depth", type=int, default=25)
     pp.add_argument("--tau-depth", type=int, default=5)
-    pp.add_argument("--scheme", default=None)
+    pp.add_argument("--scheme", choices=SCHEMES, default=None)
     pp.add_argument("--grid-lines", action="store_true")
     pp.add_argument("--unit-disk", action="store_true")
     pp.add_argument("--origin-marker", action="store_true")
@@ -130,13 +121,13 @@ def build_parser():
     pl.add_argument("--out", required=True)
     pl.add_argument("--depth", type=int, default=100)
     pl.add_argument("--tau-depth", type=int, default=10)
-    pl.add_argument("--scheme", default=None)
+    pl.add_argument("--scheme", choices=SCHEMES, default=None)
 
     pc = _permissive(sub.add_parser("calibrate", help="print the normalization shift x0"))
-    pc.add_argument("--profile", choices=["default", "high"], default="default")
+    pc.add_argument("--profile", choices=PROFILES, default="default")
 
     ps = _permissive(sub.add_parser("selftest", help="run the acceptance suite"))
-    ps.add_argument("--profile", choices=["default", "high"], default="high")
+    ps.add_argument("--profile", choices=PROFILES, default="high")
     ps.add_argument("--out-dir", default=None,
                     help="directory for render artifacts (default: temp dir)")
     return p

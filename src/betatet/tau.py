@@ -3,10 +3,17 @@
 tau^k(s) is the depth-k truncation of log o ... o log beta(s+k) - beta(s),
 computed by the descending recursion
 
-    tau^{j+1}(s) = log(beta(s+1) + tau^j(s+1)) - beta(s)
+    tau^{j+1}(s) = log(beta(s+1) + tau^j(s+1)) - beta(s).
 
-with base tau^1(s) = -log(1 + e^{-lambda s}) for fixed lambda.  Three
-numerical regimes are handled per level:
+The top level, at a = s + j - 1, has one rule per mode:
+
+* fixed lambda: the closed-form defect tau^1(a) = -log(1 + e^{-lambda a});
+* variable lambda: the literal log beta(a+1) - beta(a) with no cut test, or
+  G = log beta(a+1) where beta(a) is huge (see below), or the defect (with
+  the drifting lambda) where beta(a+1) is not OK;
+* matched: the literal on the depth-2 betas, or the defect where it fails.
+
+Every level below the top takes one step with three numerical regimes:
 
 * beta(s+m+1) beyond double range: the correction tau/beta is below 1e-300,
   so the level collapses to the defect -log(1 + e^{-lambda a}) alone.
@@ -16,7 +23,12 @@ numerical regimes are handled per level:
 * otherwise the literal form is used; where beta(s+m) itself is too large
   for the subtraction to survive rounding (|beta| > 1e8), the recursion
   switches to carrying G = beta + tau and descends by G <- log(G), which is
-  exact in that zone.
+  exact in that zone.  A literal or G log argument on the principal cut
+  short-circuits the point.
+
+A depth-j descent reads the beta rows s + m for m = 0..j-1, and row j too in
+variable mode (its top level).  So the stack holds rows 0..max(k,1)-1 for
+fixed lambda and matched, and rows 0..k for variable lambda.
 
 F(s) = beta(s) + tau(s) satisfies F(s+1) = e^{F(s)} level-exactly.
 """
@@ -28,14 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beta import BetaParams, beta_grid
-from .errors import (
-    NONFINITE,
-    OK,
-    SHORT_CIRCUIT,
-    SINGULAR,
-    ShortCircuit,
-    raise_for_status,
-)
+from .errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, ShortCircuit, raise_for_status
 
 SCHEMES = ("fixed_n", "matched", "variable_lambda")
 
@@ -87,6 +92,8 @@ class ConvergenceReport:
 
 
 def _mode(params, config):
+    if config.scheme == "matched" and params.is_variable:
+        raise ValueError("matched scheme requires a fixed lambda")
     if config.scheme == "variable_lambda" or params.is_variable:
         if not params.is_variable:
             raise ValueError("variable_lambda scheme requires BetaParams(lam='variable')")
@@ -106,132 +113,103 @@ def _on_cut(z):
     return ((z.real <= 0) & (np.abs(z.imag) <= _CUT_EPS * np.abs(z.real))) | (np.abs(z) < 1e-300)
 
 
-def _beta_stacks(params, config, sf, count):
-    """beta at sf + m for m = 0..count-1 in one kernel call."""
+def _stacks(params, config, sf):
+    """(mode, lam, B, SB, B2): the beta rows a depth-k descent over sf reads.
+
+    B/SB hold beta(sf + m) and its status in row m; B2 holds the matched
+    scheme's depth-2 rows 0..k (None in the other modes).
+    """
     mode = _mode(params, config)
-    depth = config.k if mode == "matched" else config.n
-    stack = np.concatenate([sf + m for m in range(count)])
-    if mode == "variable":
-        vals, st = beta_grid(BetaParams(lam="variable", depth=depth), stack)
-    else:
+    k = config.k
+
+    def rows(depth, count):
+        stack = np.concatenate([sf + m for m in range(count)])
         vals, st = beta_grid(BetaParams(lam=params.lam, depth=depth), stack)
-    B = vals.reshape(count, sf.size)
-    SB = st.reshape(count, sf.size)
-    extra = None
-    if mode == "matched":
-        v2, s2 = beta_grid(BetaParams(lam=params.lam, depth=2), stack)
-        extra = (v2.reshape(count, sf.size), s2.reshape(count, sf.size))
-    return B, SB, extra
+        return vals.reshape(count, sf.size), st.reshape(count, sf.size)
+
+    depth = max(1, k) if mode == "matched" else config.n
+    B, SB = rows(depth, k + 1 if mode == "variable" else max(k, 1))
+    B2 = rows(2, k + 1) if mode == "matched" else None
+    lam = None if mode == "variable" else complex(params.lam)
+    return mode, lam, B, SB, B2
 
 
-def _descend(sf, B, SB, B2, j, mode, lam):
-    """One full descent for tau^j; returns (tau, F, status) arrays over sf.
+def _step(T, grep, status, nxt, cur, d, ratio):
+    """One pullback level below the top: (T, grep) at a = s + m from level m + 1.
 
-    Uses stack rows 0..j (beta at sf..sf+j).  F is beta(s) + tau(s) assembled
-    without re-subtracting when the G representation is active.
+    T is tau, or G = beta + tau where grep is set; nxt and cur are the
+    (values, status) of beta(a+1) and beta(a), d the defect at a.  status is
+    updated in place, and failed points keep their T.
+    """
+    bn, sn = nxt
+    b, sb = cur
+    live = status == OK
+    taus = live & ~grep
+    over = taus & (sn == SHORT_CIRCUIT)
+    poison = taus & ((sn == SINGULAR) | (sn == NONFINITE))
+    status[poison] = sn[poison]
+    fin = taus & (sn == OK)
+    w = T / bn
+    rat = fin & (np.abs(w) <= _RATIO_MAX) & ratio
+    lit = fin & ~rat
+    # one log for every form; a ratio argument 1 + w has Re >= 1/2, never on the cut
+    z = np.where(grep, T, np.where(rat, 1.0 + w, bn + T))
+    cut = ((live & grep) | lit) & _on_cut(z)
+    status[cut] = SHORT_CIRCUIT
+    switch = lit & ~cut & ((sb != OK) | (np.abs(b) > _G_SWITCH))
+    L = np.log(z)
+    Tn = np.where(grep | switch, L, np.where(rat, d + L, np.where(over, d, L - b)))
+    return np.where(status == OK, Tn, T), grep | switch
+
+
+def _descend(sf, j, mode, lam, B, SB, B2):
+    """One full descent for tau^j; returns (tau, tau_status, F, F_status) over sf.
+
+    F is beta(s) + tau(s) assembled without re-subtracting when the G
+    representation is active.
     """
     npts = sf.size
     status = np.zeros(npts, np.int8)
+    if j == 0:
+        return np.zeros(npts, np.complex128), status, B[0], SB[0]
     grep = np.zeros(npts, bool)
     with np.errstate(all="ignore"):
-        a = sf + (j - 1)
-        d = _defect(a, lam)
-        if mode == "fixed" or mode == "matched":
-            if mode == "matched":
-                bn2, sn2 = B2[0][j], B2[1][j]
-                bp2, sp2 = B2[0][j - 1], B2[1][j - 1]
-                okb = (sn2 == 0) & (sp2 == 0) & ~_on_cut(bn2)
-                T = np.where(okb, np.log(np.where(okb, bn2, 1.0)) - bp2, d)
-            else:
-                T = d.copy() if isinstance(d, np.ndarray) else np.full(npts, d)
+        d = _defect(sf + (j - 1), lam)
+        if mode == "fixed":
+            T = d
+        elif mode == "matched":
+            V2, S2 = B2
+            okb = (S2[j] == OK) & (S2[j - 1] == OK) & ~_on_cut(V2[j])
+            T = np.where(okb, np.log(np.where(okb, V2[j], 1.0)) - V2[j - 1], d)
         else:
-            bn, sn = B[j], SB[j]
-            huge = (SB[j - 1] != 0) | (np.abs(B[j - 1]) > _G_SWITCH)
-            lit = (sn == 0) & ~huge
-            T = np.where(lit, np.log(np.where(sn == 0, bn, 1.0)) - B[j - 1], d)
-            gsel = (sn == 0) & huge & ~_on_cut(bn)
-            T = np.where(gsel, np.log(np.where(sn == 0, bn, 1.0)), T)
-            grep |= gsel
-            # both top levels out of range: keep the defect in tau form;
-            # the correction is suppressed on the way down
+            # not _step from tau = 0: its cut test would short-circuit a beta(s+j)
+            # that underflowed to a denormal (finite log, taken by the literal) or
+            # to zero beside a huge beta(s+j-1) (defect here): 864 of the 52,992
+            # render_tet-window points at n=25, k=5
+            ok = SB[j] == OK
+            huge = (SB[j - 1] != OK) | (np.abs(B[j - 1]) > _G_SWITCH)
+            L = np.log(np.where(ok, B[j], 1.0))
+            grep = ok & huge & ~_on_cut(B[j])
+            T = np.where(ok & ~huge, L - B[j - 1], np.where(grep, L, d))
 
         for m in range(j - 2, -1, -1):
-            a = sf + m
-            d = _defect(a, lam)
-            live = status == 0
-            bnext, snext = B[m + 1], SB[m + 1]
+            T, grep = _step(T, grep, status, (B[m + 1], SB[m + 1]), (B[m], SB[m]),
+                            _defect(sf + m, lam), mode == "fixed")
 
-            # G representation: G_m = log(G_{m+1})
-            gcur = live & grep
-            cutg = gcur & _on_cut(T)
-            status[cutg] = SHORT_CIRCUIT
-            gcur &= ~cutg
-            Tg = np.log(np.where(gcur, T, 1.0))
-
-            # tau representation
-            tcur = live & ~grep
-            over = tcur & (snext == SHORT_CIRCUIT)
-            fin = tcur & (snext == OK)
-            poison = tcur & ((snext == SINGULAR) | (snext == NONFINITE))
-            status[poison] = snext[poison]
-
-            w = np.where(fin & (bnext != 0), T / np.where(bnext == 0, 1.0, bnext), np.inf)
-            if mode == "fixed":
-                use_ratio = fin & (np.abs(w) <= _RATIO_MAX)
-            else:
-                use_ratio = np.zeros(npts, bool)
-            use_lit = fin & ~use_ratio
-            arg = bnext + T
-            cut = use_lit & _on_cut(arg)
-            status[cut] = SHORT_CIRCUIT
-            use_lit &= ~cut
-            switch = use_lit & ((SB[m] != 0) | (np.abs(B[m]) > _G_SWITCH))
-            use_lit &= ~switch
-
-            Tt = np.where(over, d, T)
-            Tt = np.where(use_ratio, d + np.log(1.0 + np.where(use_ratio, w, 0.0)), Tt)
-            Tt = np.where(use_lit, np.log(np.where(use_lit | switch, arg, 1.0)) - B[m], Tt)
-            Tt = np.where(switch, np.log(np.where(use_lit | switch, arg, 1.0)), Tt)
-            grep = grep | switch
-            T = np.where(status == 0, np.where(gcur, Tg, np.where(tcur, Tt, T)), T)
-
-        # assemble tau and F; in G representation F is the carried value itself
-        live = status == 0
-        F = np.where(grep, T, B[0] + T)
-        tau = np.where(grep, T - B[0], T)
-        fstat = status.copy()
-        badf = live & (SB[0] != 0)
-        fstat[badf] = SB[0][badf]
-        # tau itself only needs beta(s) when converting out of G representation
-        tstat = status.copy()
-        badt = live & grep & (SB[0] != 0)
-        tstat[badt] = SB[0][badt]
-    return tau, tstat, F, fstat
+        # assemble tau and F; in G representation F is the carried value itself,
+        # and tau needs beta(s) only to convert out of it
+        bad = (status == OK) & (SB[0] != OK)
+        tstat = np.where(bad & grep, SB[0], status)
+        fstat = np.where(bad, SB[0], status)
+    return np.where(grep, T - B[0], T), tstat, np.where(grep, T, B[0] + T), fstat
 
 
 def _tau_f_grid(params, config, s):
     """(tau, tau_status, F, F_status) arrays; one descent at the configured k."""
     arr = np.atleast_1d(np.asarray(s, np.complex128))
     sf = arr.ravel()
-    k = config.k
-    if k == 0:
-        b, sb = beta_grid(_beta_params_for(params, config), sf)
-        z = np.zeros(sf.size, np.complex128)
-        z0 = np.zeros(sf.size, np.int8)
-        return (z.reshape(arr.shape), z0.reshape(arr.shape),
-                b.reshape(arr.shape), sb.reshape(arr.shape))
-    mode = _mode(params, config)
-    lam = None if mode == "variable" else complex(params.lam)
-    B, SB, B2 = _beta_stacks(params, config, sf, k + 1)
-    tau, tst, F, fst = _descend(sf, B, SB, B2, k, mode, lam)
-    return (tau.reshape(arr.shape), tst.reshape(arr.shape),
-            F.reshape(arr.shape), fst.reshape(arr.shape))
-
-
-def _beta_params_for(params, config):
-    mode = _mode(params, config)
-    depth = config.k if mode == "matched" else config.n
-    return BetaParams(lam=params.lam, depth=max(1, depth))
+    out = _descend(sf, config.k, *_stacks(params, config, sf))
+    return tuple(x.reshape(arr.shape) for x in out)
 
 
 def tau_grid(params, config, s):
@@ -256,19 +234,15 @@ def tau_iterate(params, config, s, exit_tol=EXIT_TOL):
     """
     sc = complex(s)
     sf = np.array([sc], np.complex128)
-    k = config.k
-    if k == 0:
-        report = ConvergenceReport((0.0,), None, 0.0, "tolerance")
-        return 0j, report
-    mode = _mode(params, config)
-    lam = None if mode == "variable" else complex(params.lam)
-    B, SB, B2 = _beta_stacks(params, config, sf, k + 1)
+    stacks = _stacks(params, config, sf)
+    if config.k == 0:
+        return 0j, ConvergenceReport((0.0,), None, 0.0, "tolerance")
 
     taus = []
     residuals = []
     terminated = "budget"
-    for j in range(1, k + 1):
-        T, st, _, _ = _descend(sf, B, SB, B2, j, mode, lam)
+    for j in range(1, config.k + 1):
+        T, st, _, _ = _descend(sf, j, *stacks)
         code = int(st[0])
         if code in (SINGULAR, NONFINITE):
             raise_for_status(code, f"beta stack at level {j}")

@@ -139,7 +139,7 @@ def w_oracle(w, lam, depth):
         if x.real > OVERFLOW_GUARD:
             if f.real > OVERFLOW_GUARD:
                 return f, SHORT_CIRCUIT
-            fn = w * cmath.exp(f - x)
+            fn = w * cmath.exp(f - x) / (1 + w * cmath.exp(-x))
         else:
             ej = cmath.exp(x)
             den = ej + w
@@ -173,6 +173,31 @@ def test_w_kernel_matches_guard_order_oracle(lam, depth):
         assert abs(v - ov) <= 1e-12 * max(1.0, abs(ov)), w
     if lam.real < OVERFLOW_GUARD:
         assert list(status) == [OK, OK, SINGULAR, SHORT_CIRCUIT, NONFINITE, NONFINITE]
+
+
+# w/(e^{700.5} + w) at depth 1, from a 40-digit mpmath evaluation: e^{700.5}
+# ~ 1.7e304 is not small against these w, so the denominator keeps its + w
+@pytest.mark.parametrize("w,exact", [(1e308, 0.99983280936117717301),
+                                     (1e300, 5.9798385125691619319e-5)])
+def test_w_kernel_past_guard_keeps_w_in_denominator(w, exact):
+    values, status = _kernels.g_comp_grid(np.array([w], np.complex128), 700.5, 1)
+    assert status[0] == OK == w_oracle(w, 700.5, 1)[1]
+    assert abs(values[0] - exact) <= 1e-14 * exact
+    assert abs(values[0] - w_oracle(w, 700.5, 1)[0]) <= 1e-14 * exact
+
+
+def test_bits_independent_of_batch_size():
+    # numpy computes a product with a temporary operand in place from 16384
+    # elements on; the kernels must give one-point calls the same bits
+    rng = np.random.default_rng(3)
+    s = rng.uniform(-6, 6, 20000) + 1j * rng.uniform(-3, 3, 20000)
+    w = np.exp(rng.uniform(-3, 8, 20000) + 1j * rng.uniform(-3.2, 3.2, 20000))
+    for run, pts in [(lambda z: _kernels.beta_variable_grid(z, 25), s),
+                     (lambda z: _kernels.g_comp_grid(z, 0.5 + 3j, 25), w)]:
+        values, status = run(pts)
+        for i in range(0, pts.size, 100):
+            v, st = run(pts[i:i + 1])
+            assert st[0] == status[i] and v[0].tobytes() == values[i].tobytes(), pts[i]
 
 
 def test_g_comp_singular_point():

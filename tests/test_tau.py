@@ -6,6 +6,7 @@ import pytest
 
 from betatet import (
     BetaParams,
+    _kernels,
     F_eval,
     F_grid,
     TauConfig,
@@ -119,6 +120,32 @@ def test_variable_scheme_requires_variable_params(p_log2):
     cfg = TauConfig(n=10, k=3, scheme="variable_lambda")
     with pytest.raises(ValueError):
         tau_iterate(p_log2, cfg, 1.0)
+
+
+def test_matched_scheme_rejects_variable_lambda():
+    params = BetaParams(lam="variable", depth=10)
+    cfg = TauConfig(n=10, k=3, scheme="matched")
+    with pytest.raises(ValueError):
+        F_grid(params, cfg, np.array([1.5 + 0.2j]))
+    with pytest.raises(ValueError):
+        tau_iterate(params, cfg, 1.5 + 0.2j)
+    with pytest.raises(ValueError):
+        tau_iterate(params, TauConfig(n=10, k=0, scheme="matched"), 1.5 + 0.2j)
+
+
+@pytest.mark.parametrize("lam,scheme,rows", [(LOG2, "fixed_n", 5),
+                                             ("variable", "variable_lambda", 6)],
+                         ids=["fixed", "variable"])
+def test_F_grid_stack_holds_only_read_rows(monkeypatch, lam, scheme, rows):
+    # a depth-5 descent reads beta(s + m) for m = 0..4, and m = 5 too for variable lambda
+    seen = []
+    for name in ("beta_fixed_grid", "beta_variable_grid"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name,
+                            lambda s, *a, kernel=kernel: seen.append(s.size) or kernel(s, *a))
+    pts = np.linspace(0.5, 2.5, 7) + 0.1j
+    F_grid(BetaParams(lam=lam, depth=25), TauConfig(n=25, k=5, scheme=scheme), pts)
+    assert seen == [rows * pts.size]
 
 
 def test_F_complex_residual_small_where_orbit_escapes(p_log2):
