@@ -29,7 +29,7 @@ from .errors import (
     SingularPoint,
 )
 from .render import Overlay, PixelBuffer, RenderSpec, export_real_line, render_hue
-from .tau import ConvergenceReport, F_eval, F_grid, TauConfig, majorant_p, tau_grid, tau_iterate
+from .tau import ConvergenceReport, F_eval, F_grid, TauConfig, tau_grid, tau_iterate
 from .tetration import (
     TetModel,
     calibrate,
@@ -74,7 +74,6 @@ __all__ = [
     "F_eval",
     "F_grid",
     "TauConfig",
-    "majorant_p",
     "tau_grid",
     "tau_iterate",
     "TetModel",

@@ -9,6 +9,8 @@ The beta kernel steps
 where the rate is lambda for the fixed family and 1/sqrt(1 + s) for the
 variable one.  The w-coordinate kernel steps f <- w e^f / (e^{lambda j} + w),
 the same map under w = e^{lambda s}; g_eval runs it from its Taylor value.
+Both can return the iterates of the last few levels as rows: for fixed
+lambda those are the pullback stack beta(s + m), one run for all rows.
 
 `_compose` applies the same guards to each point, in this order: singular
 denominator, then overflow guard, then non-finite update.  A point stops at
@@ -32,8 +34,13 @@ def _isfinite(z):
     return np.isfinite(z.real) & np.isfinite(z.imag)
 
 
-def _compose(level, depth, f, *inputs):
+def _compose(level, depth, f, *inputs, rows=None):
     """Run f <- level(j, f, *inputs) for j = depth, ..., 1; returns (values, status).
+
+    With rows, values and status gain a leading axis of that length: row m
+    holds the iterate after level rows - m, so the last row is the result.
+    A point that stops fills the rows not yet written with its kept iterate
+    and stop status.
 
     level returns the update and its singular mask.  Points that stop are
     compacted away each level together with their inputs, which stay named
@@ -43,14 +50,15 @@ def _compose(level, depth, f, *inputs):
     For the same reason a level writes each product with its temporary
     operand on the left, so its bits do not depend on the batch size.
     """
-    values = f.copy()
-    status = np.zeros(f.shape, np.int8)
-    out_v, out_st = values.reshape(-1), status.reshape(-1)
+    shape = f.shape if rows is None else (rows, *f.shape)
+    count = 1 if rows is None else rows
+    values = np.repeat(f.reshape(1, -1), count, axis=0)
+    status = np.zeros(values.shape, np.int8)
     finite = np.logical_and.reduce([_isfinite(a) for a in inputs]).ravel()
-    out_st[~finite] = NONFINITE
+    status[:, ~finite] = NONFINITE
     idx = np.flatnonzero(finite)
     inputs = [a.ravel()[idx] for a in inputs]
-    f = out_v[idx]
+    f = values[0, idx]
     with np.errstate(all="ignore"):
         for j in range(depth, 0, -1):
             if not idx.size:
@@ -58,16 +66,17 @@ def _compose(level, depth, f, *inputs):
             fn, sing = level(j, f, *inputs)
             stop = sing | (f.real > OVERFLOW_GUARD) | ~_isfinite(fn)
             if stop.any():
-                at = idx[stop]
-                out_v[at] = f[stop]
-                out_st[at] = np.where(sing[stop], SINGULAR, SHORT_CIRCUIT)
+                at, first = idx[stop], max(count - j, 0)
+                values[first:, at] = f[stop]
+                status[first:, at] = np.where(sing[stop], SINGULAR, SHORT_CIRCUIT)
                 keep = ~stop
                 idx, f = idx[keep], fn[keep]
                 inputs = [a[keep] for a in inputs]
             else:
                 f = fn
-    out_v[idx] = f
-    return values, status
+            if j <= count:
+                values[count - j, idx] = f
+    return values.reshape(shape), status.reshape(shape)
 
 
 def _beta_level(j, f, s, rate):
@@ -81,16 +90,16 @@ def _beta_level(j, f, s, rate):
     return fn, ~big & (np.abs(den) < SINGULAR_RADIUS)
 
 
-def _beta(s, lam, depth):
+def _beta(s, lam, depth, rows=None):
     """Beta recursion over an array of s; lam=None selects the variable rate
     (1/0 at s = -1, so that point is nonfinite)."""
     s = _as_c128(s)
     with np.errstate(all="ignore"):
         rate = 1.0 / np.sqrt(1.0 + s) if lam is None else np.full(s.shape, complex(lam))
-    return _compose(_beta_level, depth, np.zeros(s.shape, np.complex128), s, rate)
+    return _compose(_beta_level, depth, np.zeros(s.shape, np.complex128), s, rate, rows=rows)
 
 
-def _w(w, lam, depth, f=None):
+def _w(w, lam, depth, f=None, rows=None):
     """w-coordinate recursion over an array of w, from f (default 0)."""
     w = _as_c128(w)
     lam = complex(lam)
@@ -105,16 +114,20 @@ def _w(w, lam, depth, f=None):
         return np.exp(f) * w / den, np.abs(den) < SINGULAR_RADIUS * abs(ej)
 
     f = np.zeros(w.shape, np.complex128) if f is None else np.broadcast_to(f, w.shape)
-    return _compose(level, depth, f, w)
+    return _compose(level, depth, f, w, rows=rows)
 
 
-def beta_fixed_grid(s, lam, depth):
+def beta_fixed_grid(s, lam, depth, rows=None):
     """Depth-n fixed-lambda composition over an array of s values.
 
     Returns (values, status) with the input shape; status-2 elements hold the
-    last finite iterate before the overflow guard tripped.
+    last finite iterate before the overflow guard tripped.  With rows, the
+    iterates after levels rows, ..., 1 come as a leading axis: a level at s
+    is the level one lower at s - 1, so row m is beta at depth
+    n - rows + 1 + m and at s - rows + 1 + m, and each row is one level
+    applied to the row before.
     """
-    return _beta(s, lam, int(depth))
+    return _beta(s, lam, int(depth), rows)
 
 
 def beta_variable_grid(s, depth):

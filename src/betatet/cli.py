@@ -13,7 +13,7 @@ import sys
 from .beta import VARIABLE, BetaParams, beta_eval, f_eval, g_eval, taylor_coefficients
 from .errors import BetaTetError
 from .render import FUNCTIONS, Overlay, RenderSpec, export_real_line, render_hue, write_csv
-from .tau import SCHEMES, F_eval, TauConfig
+from .tau import F_eval, TauConfig
 from .tetration import PROFILES, get_model, tet_eval
 
 
@@ -90,7 +90,6 @@ def build_parser():
                     help="evaluation point (w-coordinate for g and f)")
     pe.add_argument("--depth", type=int, default=100)
     pe.add_argument("--tau-depth", type=int, default=10)
-    pe.add_argument("--scheme", choices=SCHEMES, default=None)
     pe.add_argument("--profile", choices=PROFILES, default="default",
                     help="tet calibration profile")
 
@@ -107,7 +106,6 @@ def build_parser():
     pp.add_argument("--out", required=True)
     pp.add_argument("--depth", type=int, default=25)
     pp.add_argument("--tau-depth", type=int, default=5)
-    pp.add_argument("--scheme", choices=SCHEMES, default=None)
     pp.add_argument("--grid-lines", action="store_true")
     pp.add_argument("--unit-disk", action="store_true")
     pp.add_argument("--origin-marker", action="store_true")
@@ -121,7 +119,6 @@ def build_parser():
     pl.add_argument("--out", required=True)
     pl.add_argument("--depth", type=int, default=100)
     pl.add_argument("--tau-depth", type=int, default=10)
-    pl.add_argument("--scheme", choices=SCHEMES, default=None)
 
     pc = _permissive(sub.add_parser("calibrate", help="print the normalization shift x0"))
     pc.add_argument("--profile", choices=PROFILES, default="default")
@@ -142,7 +139,7 @@ def _cmd_eval(args):
         if args.lam is None:
             raise ValueError("F requires --lambda (or 'variable')")
         params = BetaParams(lam=args.lam, depth=args.depth)
-        scheme = args.scheme or ("variable_lambda" if params.is_variable else "fixed_n")
+        scheme = "variable_lambda" if params.is_variable else "fixed_n"
         config = TauConfig(n=args.depth, k=args.tau_depth, scheme=scheme)
         value = F_eval(params, config, args.point)
     elif fn == "beta":
@@ -167,7 +164,6 @@ def _cmd_taylor(args):
 def _cmd_plot(args):
     spec = RenderSpec(window=args.window, resolution=args.res, fn=args.fn,
                       lam=args.lam, depth=args.depth, tau_depth=args.tau_depth,
-                      scheme=args.scheme,
                       overlay=Overlay(grid_lines=args.grid_lines,
                                       unit_disk=args.unit_disk,
                                       origin_marker=args.origin_marker))
@@ -180,7 +176,7 @@ def _cmd_plot(args):
 def _cmd_line(args):
     rows = export_real_line(args.fn, lam=args.lam, lo=args.start, hi=args.stop,
                             samples=args.samples, depth=args.depth,
-                            tau_depth=args.tau_depth, scheme=args.scheme)
+                            tau_depth=args.tau_depth)
     write_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

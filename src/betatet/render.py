@@ -180,7 +180,7 @@ def render_hue(spec):
 
 
 def export_real_line(fn, lam=None, lo=0.0, hi=1.0, samples=100, depth=100,
-                     tau_depth=10, scheme=None):
+                     tau_depth=10):
     """Uniformly sample a function on [lo, hi]; failures become marker rows.
 
     Returns a list of (x, value-or-None, status-name) tuples.
@@ -188,7 +188,7 @@ def export_real_line(fn, lam=None, lo=0.0, hi=1.0, samples=100, depth=100,
     if samples < 2:
         raise ValueError("samples must be >= 2")
     xs = np.linspace(lo, hi, samples)
-    values, status = _evaluate_fn(fn, lam, depth, tau_depth, scheme,
+    values, status = _evaluate_fn(fn, lam, depth, tau_depth, None,
                                   xs.astype(np.complex128))
     rows = []
     for x, v, st in zip(xs, np.atleast_1d(values), np.atleast_1d(status)):

@@ -10,8 +10,7 @@ The top level, at a = s + j - 1, has one rule per mode:
 * fixed lambda: the closed-form defect tau^1(a) = -log(1 + e^{-lambda a});
 * variable lambda: the literal log beta(a+1) - beta(a) with no cut test, or
   G = log beta(a+1) where beta(a) is huge (see below), or the defect (with
-  the drifting lambda) where beta(a+1) is not OK;
-* matched: the literal on the depth-2 betas, or the defect where it fails.
+  the drifting lambda) where beta(a+1) is not OK.
 
 Every level below the top takes one step with three numerical regimes:
 
@@ -27,22 +26,24 @@ Every level below the top takes one step with three numerical regimes:
   short-circuits the point.
 
 A depth-j descent reads the beta rows s + m for m = 0..j-1, and row j too in
-variable mode (its top level).  So the stack holds rows 0..max(k,1)-1 for
-fixed lambda and matched, and rows 0..k for variable lambda.
+variable mode (its top level).  For fixed lambda the rows 0..max(k,1)-1 are
+the diagonal of one beta run at s + k - 1 of depth n + k - 1: row m is
+beta_{n+m}(s+m), and row m+1 is exactly one beta level applied to row m, so
+the rows are linked by beta(s+1) = e^{beta(s)}/(e^{-lambda s} + 1) as the
+pullback assumes.  Variable lambda has a different rate in each row, so its
+rows 0..k are separate depth-n runs.
 
 F(s) = beta(s) + tau(s) satisfies F(s+1) = e^{F(s)} level-exactly.
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beta import BetaParams, beta_grid
-from .errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, ShortCircuit, raise_for_status
+from . import _kernels
+from .errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, raise_for_status
 
-SCHEMES = ("fixed_n", "matched", "variable_lambda")
+SCHEMES = ("fixed_n", "variable_lambda")
 
 # residual level below which further pullback levels cannot move the result
 EXIT_TOL = 1e-12
@@ -60,8 +61,9 @@ _CUT_EPS = 1e-12
 class TauConfig:
     """Depth profile for the pullback: beta depth n, tau depth k, scheme.
 
-    The matched scheme ties the beta depth to the tau depth (n is ignored,
-    every level evaluates beta at depth k, and the base level uses depth 2).
+    The scheme follows the family: fixed_n for a fixed lambda, and
+    variable_lambda, which requires BetaParams(lam='variable').  Variable
+    params select the variable descent under either scheme.
     """
 
     n: int = 100
@@ -81,7 +83,6 @@ class TauConfig:
 class ConvergenceReport:
     residual_history: tuple
     contraction_estimate: float | None
-    majorant: float
     terminated_by: str          # "tolerance" | "budget" | "short_circuit"
 
     def __post_init__(self):
@@ -92,13 +93,11 @@ class ConvergenceReport:
 
 
 def _mode(params, config):
-    if config.scheme == "matched" and params.is_variable:
-        raise ValueError("matched scheme requires a fixed lambda")
     if config.scheme == "variable_lambda" or params.is_variable:
         if not params.is_variable:
             raise ValueError("variable_lambda scheme requires BetaParams(lam='variable')")
         return "variable"
-    return "matched" if config.scheme == "matched" else "fixed"
+    return "fixed"
 
 
 def _defect(a, lam):
@@ -114,24 +113,19 @@ def _on_cut(z):
 
 
 def _stacks(params, config, sf):
-    """(mode, lam, B, SB, B2): the beta rows a depth-k descent over sf reads.
+    """(mode, lam, B, SB): the beta rows a depth-k descent over sf reads.
 
-    B/SB hold beta(sf + m) and its status in row m; B2 holds the matched
-    scheme's depth-2 rows 0..k (None in the other modes).
+    B/SB hold beta(sf + m) and its status in row m.
     """
     mode = _mode(params, config)
     k = config.k
-
-    def rows(depth, count):
-        stack = np.concatenate([sf + m for m in range(count)])
-        vals, st = beta_grid(BetaParams(lam=params.lam, depth=depth), stack)
-        return vals.reshape(count, sf.size), st.reshape(count, sf.size)
-
-    depth = max(1, k) if mode == "matched" else config.n
-    B, SB = rows(depth, k + 1 if mode == "variable" else max(k, 1))
-    B2 = rows(2, k + 1) if mode == "matched" else None
-    lam = None if mode == "variable" else complex(params.lam)
-    return mode, lam, B, SB, B2
+    if mode == "fixed":
+        lam, rows = complex(params.lam), max(k, 1)
+        B, SB = _kernels.beta_fixed_grid(sf + (rows - 1), lam, config.n + rows - 1, rows)
+        return mode, lam, B, SB
+    stack = np.concatenate([sf + m for m in range(k + 1)])
+    vals, st = _kernels.beta_variable_grid(stack, config.n)
+    return mode, None, vals.reshape(k + 1, sf.size), st.reshape(k + 1, sf.size)
 
 
 def _step(T, grep, status, nxt, cur, d, ratio):
@@ -162,7 +156,7 @@ def _step(T, grep, status, nxt, cur, d, ratio):
     return np.where(status == OK, Tn, T), grep | switch
 
 
-def _descend(sf, j, mode, lam, B, SB, B2):
+def _descend(sf, j, mode, lam, B, SB):
     """One full descent for tau^j; returns (tau, tau_status, F, F_status) over sf.
 
     F is beta(s) + tau(s) assembled without re-subtracting when the G
@@ -177,10 +171,6 @@ def _descend(sf, j, mode, lam, B, SB, B2):
         d = _defect(sf + (j - 1), lam)
         if mode == "fixed":
             T = d
-        elif mode == "matched":
-            V2, S2 = B2
-            okb = (S2[j] == OK) & (S2[j - 1] == OK) & ~_on_cut(V2[j])
-            T = np.where(okb, np.log(np.where(okb, V2[j], 1.0)) - V2[j - 1], d)
         else:
             # not _step from tau = 0: its cut test would short-circuit a beta(s+j)
             # that underflowed to a denormal (finite log, taken by the literal) or
@@ -232,11 +222,10 @@ def tau_iterate(params, config, s, exit_tol=EXIT_TOL):
     drops below exit_tol.  A short-circuit mid-descent is recorded in the
     report rather than raised; singular/NaN stack entries raise.
     """
-    sc = complex(s)
-    sf = np.array([sc], np.complex128)
+    sf = np.array([complex(s)], np.complex128)
     stacks = _stacks(params, config, sf)
     if config.k == 0:
-        return 0j, ConvergenceReport((0.0,), None, 0.0, "tolerance")
+        return 0j, ConvergenceReport((0.0,), None, "tolerance")
 
     taus = []
     residuals = []
@@ -265,28 +254,7 @@ def tau_iterate(params, config, s, exit_tol=EXIT_TOL):
         pairs = [(residuals[i], residuals[i + 1]) for i in range(len(residuals) - 1)
                  if residuals[i] > 0]
         contraction = pairs[-1][1] / pairs[-1][0] if pairs else 0.0
-    majorant = _majorant_diagnostic(params, config, sc)
-    report = ConvergenceReport(tuple(residuals), contraction, majorant, terminated)
-    return value, report
-
-
-def _effective_lambda(params, s):
-    if params.is_variable:
-        return 1.0 / cmath.sqrt(1.0 + complex(s))
-    return complex(params.lam)
-
-
-def _majorant_diagnostic(params, config, s):
-    lam_eff = _effective_lambda(params, s)
-    base = math.exp(-lam_eff.real)
-    q = min(0.99, base + 0.01)
-    if not (base < q < 1.0):
-        return 0.0
-    try:
-        p = majorant_p(params, s, q, max(1, config.k))
-    except (ShortCircuit, ValueError):
-        return 0.0
-    return abs(cmath.exp(-lam_eff * complex(s))) * p
+    return value, ConvergenceReport(tuple(residuals), contraction, terminated)
 
 
 def F_eval(params, config, s):
@@ -295,35 +263,3 @@ def F_eval(params, config, s):
     code = int(np.atleast_1d(fst).ravel()[0])
     raise_for_status(code, "F evaluation")
     return complex(np.atleast_1d(F).ravel()[0])
-
-
-def majorant_p(params, s, q, terms):
-    """Partial sum of sum_j q^j / |beta(s+1) ... beta(s+j)| (diagnostic bound).
-
-    Terms whose running product has left double range are saturated at zero:
-    overflow of the product implies underflow of the term.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    lam_eff = _effective_lambda(params, s)
-    lo = math.exp(-lam_eff.real)
-    if not (lo < q < 1.0):
-        raise ValueError(f"q must lie in (e^(-Re lambda), 1) = ({lo:.6g}, 1)")
-    sc = complex(s)
-    stack = np.array([sc + j for j in range(1, terms + 1)], np.complex128)
-    vals, st = beta_grid(params, stack)
-    total = 0.0
-    logprod = 0.0
-    lnq = math.log(q)
-    for j in range(1, terms + 1):
-        code = int(st[j - 1])
-        if code == SHORT_CIRCUIT:
-            break  # product beyond double range: this and later terms underflow
-        raise_for_status(code, f"beta(s+{j})")
-        mag = abs(vals[j - 1])
-        if mag == 0.0:
-            raise ShortCircuit("majorant product hit a zero factor")
-        logprod += math.log(mag)
-        expo = j * lnq - logprod
-        total += math.exp(expo) if expo < 700.0 else math.inf
-    return total

@@ -99,16 +99,10 @@ def test_bad_flags_exit_two():
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "F", "--lambda", "0.5", "--s", "1", "--scheme", "bogus"],
-    ["plot", "--fn", "beta", "--lambda", "0.5", "--window", "-1,1,-1,1",
-     "--res", "4x4", "--out", "unused.ppm", "--scheme", "bogus"],
-    ["line", "--fn", "F", "--lambda", "0.5", "--from", "0", "--to", "1",
-     "--samples", "3", "--out", "unused.csv", "--scheme", "bogus"],
     ["eval", "tet", "--s", "0", "--profile", "bogus"],
     ["calibrate", "--profile", "bogus"],
     ["selftest", "--profile", "bogus"],
-], ids=["eval-scheme", "plot-scheme", "line-scheme", "eval-profile", "calibrate-profile",
-        "selftest-profile"])
+], ids=["eval-profile", "calibrate-profile", "selftest-profile"])
 def test_unknown_scheme_or_profile_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

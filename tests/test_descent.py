@@ -32,7 +32,7 @@ def _defect(a, lam):
     return -_log(1 + cmath.exp(-rate * a))
 
 
-def oracle(s, j, mode, lam, B, SB, B2):
+def oracle(s, j, mode, lam, B, SB):
     """(tau, tau_status, F, F_status, regimes) at one point from its beta rows."""
     def huge(m):
         return SB[m] != OK or abs(B[m]) > 1e8
@@ -43,14 +43,6 @@ def oracle(s, j, mode, lam, B, SB, B2):
     if mode == "fixed":
         T = d
         seen.add("top defect")
-    elif mode == "matched":
-        V2, S2 = B2
-        if S2[j] == OK and S2[j - 1] == OK and not _on_cut(V2[j]):
-            T = _log(V2[j]) - V2[j - 1]
-            seen.add("top matched literal")
-        else:
-            T = d
-            seen.add("top defect")
     elif SB[j] == OK and not huge(j - 1):
         T = _log(B[j]) - B[j - 1]
         seen.add("top literal, argument on the cut" if _on_cut(B[j]) else "top literal")
@@ -109,16 +101,13 @@ def _grid(window, shape):
 
 # (params, config, probe points, regimes the oracle must see on them).  The
 # real line left of 0 reaches the cut (for variable lambda, near -5.94 the
-# carried G does); -8 + i pi/log 2 makes the depth-2 beta of the matched top
-# level singular.
+# carried G does).
 _BELOW_TOP = {"literal", "G switch", "G carry", "defect", "cut"}
-_PROBE = np.concatenate([_grid((-1.5, 6.0, -5.0, 5.0), (40, 30)), np.linspace(-6, 6, 61),
-                         [-8 + 1j * math.pi / LOG2]])
 CASES = {
-    "fixed": (BetaParams(lam=LOG2, depth=25), TauConfig(25, 5), _PROBE,
+    "fixed": (BetaParams(lam=LOG2, depth=25), TauConfig(25, 5),
+              np.concatenate([_grid((-1.5, 6.0, -5.0, 5.0), (40, 30)), np.linspace(-6, 6, 61),
+                              [-8 + 1j * math.pi / LOG2]]),
               _BELOW_TOP | {"ratio", "top defect"}),
-    "matched": (BetaParams(lam=LOG2, depth=10), TauConfig(10, 10, "matched"), _PROBE,
-                _BELOW_TOP | {"top matched literal", "top defect"}),
     "variable": (BetaParams(lam="variable", depth=25), TauConfig(25, 5, "variable_lambda"),
                  np.concatenate([_grid((-0.35, 3.25, -0.25, 2.05), (96, 62)),
                                  np.linspace(-5.95, -5.9, 11)]),
@@ -140,13 +129,12 @@ def _close(a, b):
 @pytest.mark.parametrize("name", list(CASES))
 def test_descent_matches_per_point_oracle(name):
     params, config, pts, regimes = CASES[name]
-    mode, lam, B, SB, B2 = tau._stacks(params, config, pts)
+    mode, lam, B, SB = tau._stacks(params, config, pts)
     tv, ts = tau_grid(params, config, pts)
     fv, fs = F_grid(params, config, pts)
     seen = set()
     for i, s in enumerate(pts):
-        ot, ots, of, ofs, took = oracle(complex(s), config.k, mode, lam,
-                                        *_rows(B, SB, i), B2 and _rows(*B2, i))
+        ot, ots, of, ofs, took = oracle(complex(s), config.k, mode, lam, *_rows(B, SB, i))
         seen |= took
         assert (ts[i], fs[i]) == (ots, ofs), s
         assert _close(tv[i], ot) and _close(fv[i], of), s

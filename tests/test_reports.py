@@ -21,13 +21,6 @@ def test_beta_scalar_overflow_propagates():
         beta_eval(BetaParams(lam=LOG2, depth=100), 8.0)
 
 
-def test_report_majorant_nonnegative():
-    params = BetaParams(lam=LOG2, depth=100)
-    _, report = tau_iterate(params, TauConfig(n=100, k=6), 2.0)
-    assert report.majorant >= 0.0
-    assert math.isfinite(report.majorant)
-
-
 def test_report_short_circuit_termination():
     # left of the calibration region the pullback argument crosses the
     # principal cut on the real axis

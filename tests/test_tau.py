@@ -7,12 +7,12 @@ import pytest
 from betatet import (
     BetaParams,
     _kernels,
+    tau,
     F_eval,
     F_grid,
     TauConfig,
     beta_eval,
     beta_grid,
-    majorant_p,
     tau_grid,
     tau_iterate,
 )
@@ -91,23 +91,6 @@ def test_report_contraction_estimate(p_log2):
     assert 0 <= report.contraction_estimate < 1
 
 
-def test_scheme_agreement_at_two(p_log2):
-    fixed = TauConfig(n=100, k=10, scheme="fixed_n")
-    matched = TauConfig(n=10, k=10, scheme="matched")
-    va, _ = tau_iterate(p_log2, fixed, 2.0)
-    vb, _ = tau_iterate(p_log2, matched, 2.0)
-    assert abs(va - vb) < 1e-6
-
-
-def test_matched_base_case(p_log2):
-    # at tau depth 1 the matched scheme evaluates depth-2 betas literally
-    cfg = TauConfig(n=2, k=1, scheme="matched")
-    val, _ = tau_iterate(p_log2, cfg, 2.0)
-    p2 = BetaParams(lam=LOG2, depth=2)
-    expected = cmath.log(beta_eval(p2, 3.0)) - beta_eval(p2, 2.0)
-    assert abs(val - expected) < 1e-14
-
-
 def test_variable_base_matches_literal_logs():
     params = BetaParams(lam="variable", depth=100)
     cfg = TauConfig(n=100, k=1, scheme="variable_lambda")
@@ -122,30 +105,100 @@ def test_variable_scheme_requires_variable_params(p_log2):
         tau_iterate(p_log2, cfg, 1.0)
 
 
-def test_matched_scheme_rejects_variable_lambda():
-    params = BetaParams(lam="variable", depth=10)
-    cfg = TauConfig(n=10, k=3, scheme="matched")
-    with pytest.raises(ValueError):
-        F_grid(params, cfg, np.array([1.5 + 0.2j]))
-    with pytest.raises(ValueError):
-        tau_iterate(params, cfg, 1.5 + 0.2j)
-    with pytest.raises(ValueError):
-        tau_iterate(params, TauConfig(n=10, k=0, scheme="matched"), 1.5 + 0.2j)
-
-
-@pytest.mark.parametrize("lam,scheme,rows", [(LOG2, "fixed_n", 5),
-                                             ("variable", "variable_lambda", 6)],
+@pytest.mark.parametrize("lam,scheme,calls", [(LOG2, "fixed_n", [("fixed", 1, 29)]),
+                                              ("variable", "variable_lambda", [("variable", 6, 25)])],
                          ids=["fixed", "variable"])
-def test_F_grid_stack_holds_only_read_rows(monkeypatch, lam, scheme, rows):
-    # a depth-5 descent reads beta(s + m) for m = 0..4, and m = 5 too for variable lambda
-    seen = []
-    for name in ("beta_fixed_grid", "beta_variable_grid"):
-        kernel = getattr(_kernels, name)
-        monkeypatch.setattr(_kernels, name,
-                            lambda s, *a, kernel=kernel: seen.append(s.size) or kernel(s, *a))
+def test_F_grid_stack_holds_only_read_rows(monkeypatch, lam, scheme, calls):
+    # a depth-5 descent reads beta(s + m) for m = 0..4, and m = 5 too for variable
+    # lambda; the fixed rows are the diagonal of one depth n + k - 1 run at s + 4
     pts = np.linspace(0.5, 2.5, 7) + 0.1j
+    seen = []
+    for name in ("fixed", "variable"):
+        kernel = getattr(_kernels, f"beta_{name}_grid")
+
+        def spy(s, *a, name=name, kernel=kernel):
+            depth = a[1] if name == "fixed" else a[0]
+            seen.append((name, s.size // pts.size, depth))
+            return kernel(s, *a)
+
+        monkeypatch.setattr(_kernels, f"beta_{name}_grid", spy)
     F_grid(BetaParams(lam=lam, depth=25), TauConfig(n=25, k=5, scheme=scheme), pts)
-    assert seen == [rows * pts.size]
+    assert seen == calls
+
+
+def _grid(window, shape):
+    re = np.linspace(window[0], window[1], shape[0])
+    im = np.linspace(window[2], window[3], shape[1])
+    return (re[None, :] + 1j * im[:, None]).ravel()
+
+
+# the render_fixed window, where rows m > 0 overflow on the right
+_FIXED_WINDOW = _grid((0.475, 4.025, -1.025, 1.025), (142, 82))
+
+
+@pytest.mark.parametrize("lam", [LOG2, 0.5 + 3j], ids=["log2", "0.5+3i"])
+def test_fixed_stack_rows_are_one_beta_level_apart(lam):
+    n, k = 25, 5
+    _, _, B, SB = tau._stacks(BetaParams(lam=lam, depth=n), TauConfig(n, k), _FIXED_WINDOW)
+    t = _FIXED_WINDOW + (k - 1)
+    rate = np.full(t.shape, complex(lam))
+    for m in range(k - 1):
+        ok = SB[m + 1] == OK
+        step, _ = _kernels._beta_level(k - 1 - m, B[m][ok], t[ok], rate[ok])
+        assert np.array_equal(step.view(np.int64), B[m + 1][ok].view(np.int64))
+        # a point that stops keeps its last iterate, and its status holds in later rows
+        assert np.array_equal(B[m + 1][~ok], B[m][~ok])
+        assert np.all((SB[m][~ok] == OK) | (SB[m][~ok] == SB[m + 1][~ok]))
+    assert (SB[-1] == OK).any() and (SB[-1] != OK).any()
+
+
+def test_fixed_stack_rows_match_separate_runs():
+    n, k = 25, 5
+    _, _, B, SB = tau._stacks(BetaParams(lam=LOG2, depth=n), TauConfig(n, k), _FIXED_WINDOW)
+    for m in range(k):
+        vals, st = beta_grid(BetaParams(lam=LOG2, depth=n + m), _FIXED_WINDOW + m)
+        assert np.array_equal(SB[m], st)
+        ok = st == OK
+        assert np.all(np.abs(B[m] - vals)[ok] <= 1e-12 * np.maximum(1.0, np.abs(vals[ok])))
+
+
+# fixed-lambda gates on a 101 x 41 grid over [0.5, 1.5] x [-0.5, 0.5], relative
+# to max(1, |F|): one point at lambda = 0.5+3i differs by 1e21 where |F| is 2e31
+_GATE_BOX = _grid((0.5, 1.5, -0.5, 0.5), (101, 41))
+_GATES = [
+    pytest.param(LOG2, 100, 20, id="log2-100-20"),
+    pytest.param(LOG2, 25, 5, id="log2-25-5", marks=pytest.mark.xfail(
+        strict=True, reason="tau depth 5 is too shallow (F^5 and F^10 differ as much at "
+        "n = 100): median k-convergence 2.6e-2 and median functional-equation defect "
+        "2.2e-2 (maxima 1.75 and 1.62)")),
+    pytest.param(0.5 + 3j, 100, 20, id="0.5+3i-100-20", marks=pytest.mark.xfail(
+        strict=True, reason="branch choices of the literal and G logs: k-convergence "
+        "above 1e-3 on 0.12 % of the grid (max 2.0) and functional-equation defect "
+        "above 1e-3 on 0.02 % (max 1.98)")),
+]
+
+
+def _gate(num, den, ok):
+    assert ok.mean() > 0.9
+    return (np.abs(num)[ok] / np.maximum(1.0, np.abs(den[ok]))).max()
+
+
+@pytest.mark.parametrize("lam,n,k", _GATES)
+def test_fixed_F_converges_in_k(lam, n, k):
+    params = BetaParams(lam=lam, depth=n)
+    Fk, sk = F_grid(params, TauConfig(n, k), _GATE_BOX)
+    F2k, s2k = F_grid(params, TauConfig(n, 2 * k), _GATE_BOX)
+    assert _gate(Fk - F2k, Fk, (sk == OK) & (s2k == OK)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam,n,k", _GATES)
+def test_fixed_F_functional_equation_defect(lam, n, k):
+    params = BetaParams(lam=lam, depth=n)
+    F0, s0 = F_grid(params, TauConfig(n, k), _GATE_BOX)
+    F1, s1 = F_grid(params, TauConfig(n, k), _GATE_BOX + 1)
+    with np.errstate(all="ignore"):
+        defect = F1 - np.exp(F0)
+    assert _gate(defect, F1, (s0 == OK) & (s1 == OK)) <= 1e-10
 
 
 def test_F_complex_residual_small_where_orbit_escapes(p_log2):
@@ -166,15 +219,6 @@ def test_F_complex_residual_spec_point(p_log2):
     s = 0.5 + 0.5j
     r = abs(F_eval(p_log2, cfg, s + 1) - cmath.exp(F_eval(p_log2, cfg, s)))
     assert r < 1e-4
-
-
-def test_F_real_far_right_matched(p_log2):
-    cfg = TauConfig(n=10, k=10, scheme="matched")
-    for s in (3.0, 4.0):
-        val = F_eval(p_log2, cfg, s)
-        assert abs(val.imag) < 1e-12
-        beta = beta_eval(BetaParams(lam=LOG2, depth=10), s)
-        assert val.real > beta.real - 1
 
 
 def test_F_depth_zero_is_beta(p_log2):
@@ -205,36 +249,6 @@ def test_functional_equation_of_F_exact_on_real_line(p_log2, cfg100):
         lhs = cmath.exp(F_eval(p_log2, cfg100, s))
         rhs = F_eval(p_log2, cfg100, s + 1)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-
-
-def test_majorant_single_term(p_log2):
-    q = 0.6
-    val = majorant_p(p_log2, 4.0, q, terms=1)
-    b5 = abs(beta_eval(p_log2, 5.0))
-    assert abs(val - q / b5) < 1e-18
-
-
-def test_majorant_dominated_by_first_term(p_log2):
-    q = 0.6
-    one = majorant_p(p_log2, 4.0, q, terms=1)
-    many = majorant_p(p_log2, 4.0, q, terms=12)
-    assert many >= one
-    assert (many - one) / one < 1e-10
-
-
-def test_majorant_overflow_saturates(p_log2):
-    # beta(6) is already beyond doubles: every term underflows to zero
-    q = math.exp(-LOG2) + 1e-6
-    val = majorant_p(p_log2, 5.0, q, terms=8)
-    assert val == 0.0
-    assert val < 1.0
-
-
-def test_majorant_validates_q(p_log2):
-    with pytest.raises(ValueError):
-        majorant_p(p_log2, 4.0, 0.3, terms=4)   # below e^{-Re lambda}
-    with pytest.raises(ValueError):
-        majorant_p(p_log2, 4.0, 1.1, terms=4)
 
 
 def test_config_validation():

@@ -117,6 +117,17 @@ def test_g_short_circuit_keeps_last_value():
     assert last is not None and cmath.isfinite(last)
 
 
+def test_g_ill_conditioned_push_out_raises():
+    # 159 push-out levels magnify rounding by ~7e14; the value used to
+    # come back 0.26 relative from a 60-digit push-out of the same Taylor value
+    with pytest.raises(ShortCircuit, match="ill-conditioned"):
+        g_eval(0.05, 76.66 + 1035.67j)
+
+
+def test_g_well_conditioned_bits_unchanged():
+    assert g_eval(LOG2, 3.0) == complex(float.fromhex("0x1.15d3de6056e2ap+0"), 0.0)
+
+
 def test_f_is_reciprocal_of_g():
     assert f_eval(LOG2, 10.0) == g_eval(LOG2, 0.1)
 
