@@ -16,7 +16,17 @@ lambda those are the pullback stack beta(s + m), one run for all rows.
 denominator, then overflow guard, then non-finite update.  A point stops at
 the first guard it trips and keeps its last finite iterate; a point with a
 non-finite input gets the nonfinite status before the first level.
+
+A batch with at least SPLIT_MIN points for each CPU this process may run on
+(its affinity mask, read once at import) is cut into contiguous chunks, one
+per CPU, and the level loop runs on each in its own thread; numpy's
+ufuncs release the interpreter lock.  Smaller batches never start a
+thread.  The split keeps every bit: each point's operations and their
+operand order are the same in any batch, and no step reduces across points.
 """
+
+import os
+import threading
 
 import numpy as np
 
@@ -24,14 +34,14 @@ from .errors import NONFINITE, OVERFLOW_GUARD, SHORT_CIRCUIT, SINGULAR, SINGULAR
 
 BACKEND = "numpy"
 
+# fewest points per chunk for which a batch is split across the CPUs
+SPLIT_MIN = 4096
+_CPUS = len(os.sched_getaffinity(0))
+
 
 def _as_c128(a):
     arr = np.asarray(a, dtype=np.complex128)
     return np.atleast_1d(arr)
-
-
-def _isfinite(z):
-    return np.isfinite(z.real) & np.isfinite(z.imag)
 
 
 def _compose(level, depth, f, *inputs, rows=None):
@@ -39,8 +49,58 @@ def _compose(level, depth, f, *inputs, rows=None):
 
     With rows, values and status gain a leading axis of that length: row m
     holds the iterate after level rows - m, so the last row is the result.
-    A point that stops fills the rows not yet written with its kept iterate
-    and stop status.
+    A batch of at least SPLIT_MIN points per CPU runs as contiguous chunks,
+    one per CPU, through `_levels`; the chunks' results are joined along
+    the point axis.
+    """
+    shape = f.shape if rows is None else (rows, *f.shape)
+    count = 1 if rows is None else rows
+    f = f.ravel()
+    inputs = [a.ravel() for a in inputs]
+    chunks = max(1, min(_CPUS, f.size // SPLIT_MIN))
+    cuts = [f.size * c // chunks for c in range(chunks + 1)]
+    parts = _in_threads(lambda c: _levels(
+        level, depth, count, f[cuts[c]:cuts[c + 1]],
+        [a[cuts[c]:cuts[c + 1]] for a in inputs]), chunks)
+    values = np.concatenate([v for v, _ in parts], axis=-1)
+    status = np.concatenate([st for _, st in parts], axis=-1)
+    return values.reshape(shape), status.reshape(shape)
+
+
+def _in_threads(task, count):
+    """[task(0), ..., task(count - 1)], the last on the calling thread and
+    each other on a thread of its own.
+
+    A worker's exception is raised here, after every worker has joined.
+    """
+    results = [None] * count
+    errors = []
+
+    def work(c):
+        try:
+            results[c] = task(c)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(c,)) for c in range(count - 1)]
+    for w in workers:
+        w.start()
+    try:
+        results[-1] = task(count - 1)
+    finally:
+        for w in workers:
+            w.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _levels(level, depth, count, f, inputs):
+    """The level loop of `_compose` on flat arrays; values and status are (count, N).
+
+    Each point runs alone: no step reduces across points, so a chunk gives
+    the bits the whole batch would.  A point that stops fills the rows not
+    yet written with its kept iterate and stop status.
 
     level returns the update and its singular mask.  Points that stop are
     compacted away each level together with their inputs, which stay named
@@ -49,22 +109,21 @@ def _compose(level, depth, f, *inputs, rows=None):
     bitwise commutative, so gathering inside level would change last bits.
     For the same reason a level writes each product with its temporary
     operand on the left, so its bits do not depend on the batch size.
+    numpy's errstate is per thread, so it is set here.
     """
-    shape = f.shape if rows is None else (rows, *f.shape)
-    count = 1 if rows is None else rows
     values = np.repeat(f.reshape(1, -1), count, axis=0)
     status = np.zeros(values.shape, np.int8)
-    finite = np.logical_and.reduce([_isfinite(a) for a in inputs]).ravel()
+    finite = np.logical_and.reduce([np.isfinite(a) for a in inputs])
     status[:, ~finite] = NONFINITE
     idx = np.flatnonzero(finite)
-    inputs = [a.ravel()[idx] for a in inputs]
+    inputs = [a[idx] for a in inputs]
     f = values[0, idx]
     with np.errstate(all="ignore"):
         for j in range(depth, 0, -1):
             if not idx.size:
                 break
             fn, sing = level(j, f, *inputs)
-            stop = sing | (f.real > OVERFLOW_GUARD) | ~_isfinite(fn)
+            stop = sing | (f.real > OVERFLOW_GUARD) | ~np.isfinite(fn)
             if stop.any():
                 at, first = idx[stop], max(count - j, 0)
                 values[first:, at] = f[stop]
@@ -76,7 +135,7 @@ def _compose(level, depth, f, *inputs, rows=None):
                 f = fn
             if j <= count:
                 values[count - j, idx] = f
-    return values.reshape(shape), status.reshape(shape)
+    return values, status
 
 
 def _beta_level(j, f, s, rate):

@@ -48,6 +48,7 @@ PROFILES = {
 }
 
 _SCAN_LO, _SCAN_HI = -5, 10
+_BISECT_LEVELS = 5
 _CUT_DIST = 1e-9
 _E = math.e
 
@@ -97,18 +98,31 @@ def _bracket(n, k):
 
 
 def _bisect(lo, hi, n, k):
-    """Bisect F(x) = 1 on [lo, hi] until the midpoint is an endpoint."""
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break                   # adjacent doubles: the bracket is final
-        fm, sm = _f_line([mid], n, k)
-        if sm[0] != OK:
-            raise CalibrationFailed(f"F not evaluable at bisection point {mid}")
-        if fm[0].real - 1.0 < 0:
-            lo = mid
-        else:
-            hi = mid
+    """Bisect F(x) = 1 on [lo, hi] until the midpoint is an endpoint.
+
+    Each F call evaluates the whole tree of the next _BISECT_LEVELS
+    midpoints, in heap order, each formed from its bracket as a one-point
+    bisection would form it; only the path the bisection walks is checked.
+    F bits do not depend on the batch size, so x0 is the one-point result.
+    """
+    for _ in range(80 // _BISECT_LEVELS):
+        mids, brackets = [], [(lo, hi)]
+        for _ in range(_BISECT_LEVELS):
+            mids += [0.5 * (a + b) for a, b in brackets]
+            brackets = [half for (a, b), m in zip(brackets, mids[-len(brackets):])
+                        for half in ((a, m), (m, b))]
+        fm, sm = _f_line(mids, n, k)
+        node = 0
+        for _ in range(_BISECT_LEVELS):
+            mid = mids[node]
+            if not lo < mid < hi:
+                return mid          # adjacent doubles: the bracket is final
+            if sm[node] != OK:
+                raise CalibrationFailed(f"F not evaluable at bisection point {mid}")
+            if fm[node].real - 1.0 < 0:
+                lo, node = mid, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
     return 0.5 * (lo + hi)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,18 +187,54 @@ def test_w_kernel_past_guard_keeps_w_in_denominator(w, exact):
     assert abs(values[0] - w_oracle(w, 700.5, 1)[0]) <= 1e-14 * exact
 
 
-def test_bits_independent_of_batch_size():
+def test_bits_independent_of_batch_size(monkeypatch):
     # numpy computes a product with a temporary operand in place from 16384
-    # elements on; the kernels must give one-point calls the same bits
+    # elements on; the kernels must give one-point calls the same bits, in
+    # one chunk of 20000 points or split by three CPUs into 6666 + 6667 + 6667
     rng = np.random.default_rng(3)
     s = rng.uniform(-6, 6, 20000) + 1j * rng.uniform(-3, 3, 20000)
     w = np.exp(rng.uniform(-3, 8, 20000) + 1j * rng.uniform(-3.2, 3.2, 20000))
-    for run, pts in [(lambda z: _kernels.beta_variable_grid(z, 25), s),
-                     (lambda z: _kernels.g_comp_grid(z, 0.5 + 3j, 25), w)]:
-        values, status = run(pts)
-        for i in range(0, pts.size, 100):
-            v, st = run(pts[i:i + 1])
-            assert st[0] == status[i] and v[0].tobytes() == values[i].tobytes(), pts[i]
+    f0 = rng.uniform(-1, 1, 20000) + 1j * rng.uniform(-1, 1, 20000)
+    for run, pts in [(lambda i: _kernels.beta_variable_grid(s[i], 25), s),
+                     (lambda i: _kernels.g_comp_grid(w[i], 0.5 + 3j, 25), w),
+                     (lambda i: _kernels.beta_fixed_grid(s[i], 0.5 + 3j, 29, 5), s),
+                     (lambda i: _kernels._w(w[i], 0.5 + 3j, 25, f0[i]), w)]:
+        for cpus in (1, 3):
+            monkeypatch.setattr(_kernels, "_CPUS", cpus)
+            values, status = run(slice(None))
+            for i in range(0, pts.size, 100):
+                v, st = run(slice(i, i + 1))
+                assert np.array_equal(st[..., 0], status[..., i]), (cpus, pts[i])
+                assert v[..., 0].tobytes() == values[..., i].tobytes(), (cpus, pts[i])
+
+
+def test_split_only_large_batches_without_warnings(monkeypatch):
+    # a batch splits only when every chunk gets SPLIT_MIN points; the
+    # workers set their own errstate, as numpy's is per thread
+    monkeypatch.setattr(_kernels, "_CPUS", 2)
+    big = np.resize(PROBE, 2 * _kernels.SPLIT_MIN)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("thread started")
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels.threading, "Thread", no_thread)
+        for pts in (PROBE[:1], PROBE, big[:-1]):
+            _kernels.beta_variable_grid(pts, 25)
+            _kernels.beta_fixed_grid(pts, LOG2, 29, 5)
+            _kernels.g_comp_grid(np.exp(pts), LOG2, 25)
+        with pytest.raises(AssertionError, match="thread started"):
+            _kernels.beta_variable_grid(big, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, st = _kernels.beta_fixed_grid(big, LOG2, 100)
+        assert {OK, SHORT_CIRCUIT, SINGULAR, NONFINITE} <= set(st.tolist())
+        _, st = _kernels.beta_variable_grid(big, 100)
+        assert {OK, SHORT_CIRCUIT, NONFINITE} <= set(st.tolist())
+        singular = -math.exp(2 * LOG2)
+        w = np.resize(np.array([0.4, singular, 1e300, np.inf, np.nan], np.complex128), big.size)
+        _, st = _kernels.g_comp_grid(w, LOG2, 100)
+        assert {OK, SHORT_CIRCUIT, SINGULAR, NONFINITE} <= set(st.tolist())
 
 
 def test_g_comp_singular_point():

@@ -27,19 +27,21 @@ def test_too_shallow_profile_fails_calibration():
         calibrate(n=1, k=1)
 
 
-def test_bisection_early_exit_matches_full_loop(default_model):
-    # the loop stops once the midpoint is an endpoint; 80 full steps give the same x0
-    n, k = default_model.n, default_model.k
-    lo, hi = tetration._bracket(n, k)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm, sm = tetration._f_line([mid], n, k)
-        assert sm[0] == OK
-        if fm[0].real - 1.0 < 0:
-            lo = mid
-        else:
-            hi = mid
-    assert default_model.x0 == 0.5 * (lo + hi)
+def test_bisection_early_exit_matches_full_loop(default_model, high_model):
+    # one-point bisection for 80 full steps gives the x0 that the batched,
+    # early-exit bisection found
+    for model in (default_model, high_model):
+        n, k = model.n, model.k
+        lo, hi = tetration._bracket(n, k)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm, sm = tetration._f_line([mid], n, k)
+            assert sm[0] == OK
+            if fm[0].real - 1.0 < 0:
+                lo = mid
+            else:
+                hi = mid
+        assert model.x0 == 0.5 * (lo + hi)
 
 
 def test_model_metadata(high_model):
