@@ -19,9 +19,10 @@ non-finite input gets the nonfinite status before the first level.
 
 A batch with at least SPLIT_MIN points for each CPU this process may run on
 (its affinity mask, read once at import) is cut into contiguous chunks, one
-per CPU, and the level loop runs on each in its own thread; numpy's
-ufuncs release the interpreter lock.  Smaller batches never start a
-thread.  The split keeps every bit: each point's operations and their
+per CPU.  The calling thread runs the level loop on the last chunk and
+worker threads, started at the first split and kept, run it on the others;
+numpy's ufuncs release the interpreter lock.  Smaller batches never touch a
+worker.  The split keeps every bit: each point's operations and their
 operand order are the same in any batch, and no step reduces across points.
 """
 
@@ -34,9 +35,12 @@ from .errors import NONFINITE, OVERFLOW_GUARD, SHORT_CIRCUIT, SINGULAR, SINGULAR
 
 BACKEND = "numpy"
 
-# fewest points per chunk for which a batch is split across the CPUs
-SPLIT_MIN = 4096
+# fewest points per chunk for which a batch is split across the CPUs: below
+# this a split call's time depends too much on how the CPUs are scheduled
+SPLIT_MIN = 16384
 _CPUS = len(os.sched_getaffinity(0))
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def _as_c128(a):
@@ -69,30 +73,40 @@ def _compose(level, depth, f, *inputs, rows=None):
 
 def _in_threads(task, count):
     """[task(0), ..., task(count - 1)], the last on the calling thread and
-    each other on a thread of its own.
+    the others on the kept worker threads.
 
-    A worker's exception is raised here, after every worker has joined.
+    A worker's exception is raised here, after every worker has finished.
     """
-    results = [None] * count
-    errors = []
-
-    def work(c):
-        try:
-            results[c] = task(c)
-        except BaseException as exc:
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=(c,)) for c in range(count - 1)]
-    for w in workers:
-        w.start()
+    if count == 1:
+        return [task(0)]
+    futures = [_executor().submit(task, c) for c in range(count - 1)]
     try:
-        results[-1] = task(count - 1)
+        last = task(count - 1)
     finally:
-        for w in workers:
-            w.join()
-    if errors:
-        raise errors[0]
-    return results
+        for f in futures:
+            f.exception()           # waits for the worker; result() raises
+    return [f.result() for f in futures] + [last]
+
+
+def _executor():
+    """The worker threads of split batches, started at the first split and
+    kept: a split wakes waiting threads, which the scheduler puts on idle
+    CPUs, where a thread started for each call could share the caller's."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="betatet-kernel")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has none of the parent's threads: it starts its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _levels(level, depth, count, f, inputs):

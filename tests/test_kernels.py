@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -191,6 +194,8 @@ def test_bits_independent_of_batch_size(monkeypatch):
     # numpy computes a product with a temporary operand in place from 16384
     # elements on; the kernels must give one-point calls the same bits, in
     # one chunk of 20000 points or split by three CPUs into 6666 + 6667 + 6667
+    # (SPLIT_MIN lowered so that this batch splits)
+    monkeypatch.setattr(_kernels, "SPLIT_MIN", 4096)
     rng = np.random.default_rng(3)
     s = rng.uniform(-6, 6, 20000) + 1j * rng.uniform(-3, 3, 20000)
     w = np.exp(rng.uniform(-3, 8, 20000) + 1j * rng.uniform(-3.2, 3.2, 20000))
@@ -214,16 +219,16 @@ def test_split_only_large_batches_without_warnings(monkeypatch):
     monkeypatch.setattr(_kernels, "_CPUS", 2)
     big = np.resize(PROBE, 2 * _kernels.SPLIT_MIN)
 
-    def no_thread(*args, **kwargs):
-        raise AssertionError("thread started")
+    def no_workers():
+        raise AssertionError("worker threads used")
 
     with monkeypatch.context() as m:
-        m.setattr(_kernels.threading, "Thread", no_thread)
+        m.setattr(_kernels, "_executor", no_workers)
         for pts in (PROBE[:1], PROBE, big[:-1]):
             _kernels.beta_variable_grid(pts, 25)
             _kernels.beta_fixed_grid(pts, LOG2, 29, 5)
             _kernels.g_comp_grid(np.exp(pts), LOG2, 25)
-        with pytest.raises(AssertionError, match="thread started"):
+        with pytest.raises(AssertionError, match="worker threads used"):
             _kernels.beta_variable_grid(big, 25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -235,6 +240,29 @@ def test_split_only_large_batches_without_warnings(monkeypatch):
         w = np.resize(np.array([0.4, singular, 1e300, np.inf, np.nan], np.complex128), big.size)
         _, st = _kernels.g_comp_grid(w, LOG2, 100)
         assert {OK, SHORT_CIRCUIT, SINGULAR, NONFINITE} <= set(st.tolist())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_in_forked_child(monkeypatch):
+    # the kept worker threads do not survive a fork; a child that splits a
+    # batch starts its own instead of queueing work for threads it lacks
+    monkeypatch.setattr(_kernels, "_CPUS", 2)
+    big = np.resize(PROBE, 2 * _kernels.SPLIT_MIN)
+    want, _ = _kernels.beta_variable_grid(big, 25)
+    pid = os.fork()
+    if pid == 0:
+        got, _ = _kernels.beta_variable_grid(big, 25)
+        os._exit(0 if got.tobytes() == want.tobytes() else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("split batch in a forked child did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_g_comp_singular_point():
