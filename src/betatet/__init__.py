@@ -29,7 +29,7 @@ from .errors import (
     SingularPoint,
 )
 from .render import Overlay, PixelBuffer, RenderSpec, export_real_line, render_hue
-from .tau import ConvergenceReport, F_eval, F_grid, TauConfig, tau_grid, tau_iterate
+from .tau import F_eval, F_grid, TauConfig, tau_grid
 from .tetration import (
     TetModel,
     calibrate,
@@ -70,12 +70,10 @@ __all__ = [
     "RenderSpec",
     "export_real_line",
     "render_hue",
-    "ConvergenceReport",
     "F_eval",
     "F_grid",
     "TauConfig",
     "tau_grid",
-    "tau_iterate",
     "TetModel",
     "calibrate",
     "derivative_positivity_scan",

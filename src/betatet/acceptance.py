@@ -14,7 +14,7 @@ import numpy as np
 from .beta import BetaParams, beta_grid, beta_periodicity_check, taylor_coefficients
 from .errors import OK
 from .render import RenderSpec, render_hue
-from .tau import TauConfig, tau_iterate
+from .tau import F_grid, TauConfig, tau_grid
 from .tetration import calibrate, derivative_positivity_scan, exp_iter, slog_eval, tet_eval, tet_grid
 
 LOG2 = math.log(2.0)
@@ -94,31 +94,26 @@ def crit_taylor():
 
 
 def crit_tau_convergence():
-    """pullback residuals decrease for k >= 5 and end below 1e-6 by k=20."""
+    """F^20 and F^40 agree to 1e-10 relative on [0.5,1.5]x[-0.5,0.5] and at s=1, 2, 1+0.5i."""
     params = BetaParams(lam=LOG2, depth=100)
-    config = TauConfig(n=100, k=20, scheme="fixed_n")
-    ok = True
-    details = []
-    for s in (1.0, 2.0, 1 + 0.5j):
-        _, report = tau_iterate(params, config, s)
-        hist = report.residual_history
-        final = hist[-1]
-        # residual_history[i] = |tau^{i+1} - tau^i|; "k >= 5" means index >= 5
-        tail = hist[5:]
-        decreasing = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
-        good = decreasing and final < 1e-6
-        ok = ok and good
-        details.append(f"s={s}: final {final:.1e}, monotone {decreasing}")
-    return ok, "; ".join(details)
+    pts = np.append(_grid(0.5, 1.5, 101, -0.5, 0.5, 41), [1.0, 2.0, 1 + 0.5j])
+    F20, s20 = F_grid(params, TauConfig(n=100, k=20), pts)
+    F40, s40 = F_grid(params, TauConfig(n=100, k=40), pts)
+    ok = (s20 == OK) & (s40 == OK)
+    rel = np.abs(F20 - F40) / np.maximum(1.0, np.abs(F20))
+    worst = float(rel[ok].max(initial=0.0))
+    passed = bool(ok.all()) and worst <= 1e-10
+    return passed, (f"max |F^20 - F^40|/max(1,|F^20|) = {worst:.1e} <= 1e-10 "
+                    f"over {ok.sum()}/{pts.size} evaluable points")
 
 
 def crit_tau_decay():
     """|tau10(8) + log(1 + e^{-8 lambda})| / e^{-8 lambda} < 0.1."""
     params = BetaParams(lam=LOG2, depth=100)
-    config = TauConfig(n=100, k=10, scheme="fixed_n")
-    val, _ = tau_iterate(params, config, 8.0)
-    ratio = abs(val + math.log(1 + math.exp(-LOG2 * 8))) / math.exp(-LOG2 * 8)
-    return ratio < 0.1, f"normalized defect residual {ratio:.3e} < 0.1"
+    config = TauConfig(n=100, k=10)
+    val, st = tau_grid(params, config, np.array([8.0]))
+    ratio = abs(val[0] + math.log(1 + math.exp(-LOG2 * 8))) / math.exp(-LOG2 * 8)
+    return st[0] == OK and ratio < 0.1, f"normalized defect residual {ratio:.3e} < 0.1"
 
 
 def crit_anchors(model, calib_seconds):
@@ -240,7 +235,7 @@ def run_all(profile="high", out_dir=None, printer=print):
     run(1, "beta functional equation", crit_functional_equation)
     run(2, "beta periodicity", crit_periodicity)
     run(3, "Taylor coefficients vs derivative oracle", crit_taylor)
-    run(4, "pullback residual convergence", crit_tau_convergence)
+    run(4, "pullback convergence in k", crit_tau_convergence)
     run(5, "pullback defect decay", crit_tau_decay)
     run(6, "tetration anchors", crit_anchors, model, calib_seconds)
     run(7, "tetration functional equation", crit_tet_functional_equation, model)

@@ -146,10 +146,10 @@ def _cmd_eval(args):
         if args.lam is None:
             raise ValueError("beta requires --lambda (or 'variable')")
         value = beta_eval(BetaParams(lam=args.lam, depth=args.depth), args.point)
-    elif fn == "g":
-        value = g_eval(args.lam, args.point)
     else:
-        value = f_eval(args.lam, args.point)
+        if args.lam is None or args.lam == VARIABLE:
+            raise ValueError(f"{fn} requires a fixed --lambda")
+        value = (g_eval if fn == "g" else f_eval)(args.lam, args.point)
     print(format_complex(value))
     return 0
 

@@ -45,9 +45,6 @@ from .errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, raise_for_status
 
 SCHEMES = ("fixed_n", "variable_lambda")
 
-# residual level below which further pullback levels cannot move the result
-EXIT_TOL = 1e-12
-
 # ratio-form threshold: |tau/beta| above this falls back to the literal form
 _RATIO_MAX = 0.5
 
@@ -77,19 +74,6 @@ class TauConfig:
             raise ValueError("beta depth n must be >= 1")
         if self.k < 0:
             raise ValueError("tau depth k must be >= 0")
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    residual_history: tuple
-    contraction_estimate: float | None
-    terminated_by: str          # "tolerance" | "budget" | "short_circuit"
-
-    def __post_init__(self):
-        if len(self.residual_history) == 0:
-            raise ValueError("residual_history must be non-empty")
-        if self.contraction_estimate is not None and len(self.residual_history) < 2:
-            raise ValueError("contraction_estimate requires >= 2 residuals")
 
 
 def _mode(params, config):
@@ -187,10 +171,12 @@ def _descend(sf, j, mode, lam, B, SB):
                             _defect(sf + m, lam), mode == "fixed")
 
         # assemble tau and F; in G representation F is the carried value itself,
-        # and tau needs beta(s) only to convert out of it
+        # and tau needs beta(s) only to convert out of it.  A singular or
+        # non-finite beta(s) names the failure of a point that already failed
         bad = (status == OK) & (SB[0] != OK)
-        tstat = np.where(bad & grep, SB[0], status)
-        fstat = np.where(bad, SB[0], status)
+        own = (status != OK) & ((SB[0] == SINGULAR) | (SB[0] == NONFINITE))
+        tstat = np.where((bad & grep) | own, SB[0], status)
+        fstat = np.where(bad | own, SB[0], status)
     return np.where(grep, T - B[0], T), tstat, np.where(grep, T, B[0] + T), fstat
 
 
@@ -214,52 +200,8 @@ def F_grid(params, config, s):
     return F, fst
 
 
-def tau_iterate(params, config, s, exit_tol=EXIT_TOL):
-    """tau at depth k with per-level residual diagnostics (scalar).
-
-    Returns (value, ConvergenceReport).  Residual_history[i] is
-    |tau^{i+1} - tau^i| (tau^0 = 0); iteration stops early once a residual
-    drops below exit_tol.  A short-circuit mid-descent is recorded in the
-    report rather than raised; singular/NaN stack entries raise.
-    """
-    sf = np.array([complex(s)], np.complex128)
-    stacks = _stacks(params, config, sf)
-    if config.k == 0:
-        return 0j, ConvergenceReport((0.0,), None, "tolerance")
-
-    taus = []
-    residuals = []
-    terminated = "budget"
-    for j in range(1, config.k + 1):
-        T, st, _, _ = _descend(sf, j, *stacks)
-        code = int(st[0])
-        if code in (SINGULAR, NONFINITE):
-            raise_for_status(code, f"beta stack at level {j}")
-        if code == SHORT_CIRCUIT:
-            terminated = "short_circuit"
-            if not taus:
-                taus.append(complex(T[0]))
-                residuals.append(abs(taus[0]))
-            break
-        taus.append(complex(T[0]))
-        prev = taus[-2] if len(taus) > 1 else 0j
-        residuals.append(abs(taus[-1] - prev))
-        if residuals[-1] < exit_tol:
-            terminated = "tolerance"
-            break
-
-    value = taus[-1] if taus else 0j
-    contraction = None
-    if len(residuals) >= 2:
-        pairs = [(residuals[i], residuals[i + 1]) for i in range(len(residuals) - 1)
-                 if residuals[i] > 0]
-        contraction = pairs[-1][1] / pairs[-1][0] if pairs else 0.0
-    return value, ConvergenceReport(tuple(residuals), contraction, terminated)
-
-
 def F_eval(params, config, s):
     """F(s) = beta(s) + tau(s) (scalar); raises on any failure status."""
-    _, _, F, fst = _tau_f_grid(params, config, complex(s))
-    code = int(np.atleast_1d(fst).ravel()[0])
-    raise_for_status(code, "F evaluation")
-    return complex(np.atleast_1d(F).ravel()[0])
+    _, _, F, fst = _tau_f_grid(params, config, np.array([complex(s)]))
+    raise_for_status(fst[0], "F evaluation")
+    return complex(F[0])

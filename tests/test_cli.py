@@ -87,9 +87,10 @@ def test_eval_singular_exit_code(capsys):
 
 
 def test_eval_missing_lambda_exit_code(capsys):
-    rc = main(["eval", "beta", "--s", "0"])
-    assert rc == 2
-    assert "lambda" in capsys.readouterr().err
+    for argv in (["beta"], ["g"], ["f"], ["g", "--lambda", "variable"]):
+        rc = main(["eval", *argv, "--s", "0.5"])
+        assert rc == 2, argv
+        assert "lambda" in capsys.readouterr().err, argv
 
 
 def test_bad_flags_exit_two():

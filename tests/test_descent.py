@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from betatet import BetaParams, F_grid, TauConfig, tau, tau_grid
-from betatet.errors import OK, SHORT_CIRCUIT
+from betatet.errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR
 
 LOG2 = math.log(2.0)
 
@@ -88,8 +88,9 @@ def oracle(s, j, mode, lam, B, SB):
             seen.add("literal")
 
     base = status == OK
-    tst = SB[0] if base and G else status
-    fst = SB[0] if base else status
+    own = not base and SB[0] in (SINGULAR, NONFINITE)
+    tst = SB[0] if (base and G) or own else status
+    fst = SB[0] if base or own else status
     return (T - B[0] if G else T), tst, (T if G else B[0] + T), fst, seen
 
 
@@ -101,7 +102,7 @@ def _grid(window, shape):
 
 # (params, config, probe points, regimes the oracle must see on them).  The
 # real line left of 0 reaches the cut (for variable lambda, near -5.94 the
-# carried G does).
+# carried G does); at s = -1 the variable rate, and so beta(s), is undefined.
 _BELOW_TOP = {"literal", "G switch", "G carry", "defect", "cut"}
 CASES = {
     "fixed": (BetaParams(lam=LOG2, depth=25), TauConfig(25, 5),
@@ -110,7 +111,7 @@ CASES = {
               _BELOW_TOP | {"ratio", "top defect"}),
     "variable": (BetaParams(lam="variable", depth=25), TauConfig(25, 5, "variable_lambda"),
                  np.concatenate([_grid((-0.35, 3.25, -0.25, 2.05), (96, 62)),
-                                 np.linspace(-5.95, -5.9, 11)]),
+                                 np.linspace(-5.95, -5.9, 11), [-1.0]]),
                  _BELOW_TOP | {"G cut", "top literal", "top literal, argument on the cut",
                                "top G", "top defect"}),
 }

@@ -5,13 +5,16 @@ import pytest
 
 from betatet import (
     BetaParams,
+    F_eval,
+    NonFinite,
     RenderSpec,
     ShortCircuit,
     TauConfig,
     beta_eval,
     render_hue,
-    tau_iterate,
+    tau_grid,
 )
+from betatet.errors import SHORT_CIRCUIT
 
 LOG2 = math.log(2.0)
 
@@ -21,31 +24,22 @@ def test_beta_scalar_overflow_propagates():
         beta_eval(BetaParams(lam=LOG2, depth=100), 8.0)
 
 
-def test_report_short_circuit_termination():
+def test_short_circuit_left_of_calibration_region():
     # left of the calibration region the pullback argument crosses the
     # principal cut on the real axis
     params = BetaParams(lam="variable", depth=100)
     cfg = TauConfig(n=100, k=20, scheme="variable_lambda")
-    _, report = tau_iterate(params, cfg, -0.5)
-    assert report.terminated_by == "short_circuit"
+    _, st = tau_grid(params, cfg, np.array([-0.5]))
+    assert st[0] == SHORT_CIRCUIT
 
 
 def test_exponent_undefined_at_minus_one():
-    from betatet import NonFinite
-
+    # lambda = 1/sqrt(1+s) is undefined at s = -1; the cut higher up must not
+    # hide that
     params = BetaParams(lam="variable", depth=100)
     cfg = TauConfig(n=100, k=20, scheme="variable_lambda")
     with pytest.raises(NonFinite):
-        tau_iterate(params, cfg, -1.0)
-
-
-def test_report_residuals_invariant():
-    params = BetaParams(lam=LOG2, depth=100)
-    for k in (1, 2, 5):
-        _, report = tau_iterate(params, TauConfig(n=100, k=k), 1.5)
-        assert len(report.residual_history) >= 1
-        if report.contraction_estimate is not None:
-            assert len(report.residual_history) >= 2
+        F_eval(params, cfg, -1.0)
 
 
 def test_tet_render_smoke():

@@ -14,7 +14,6 @@ from betatet import (
     beta_eval,
     beta_grid,
     tau_grid,
-    tau_iterate,
 )
 from betatet.errors import OK
 
@@ -31,25 +30,26 @@ def cfg100():
     return TauConfig(n=100, k=20, scheme="fixed_n")
 
 
+def _tau(params, config, s):
+    vals, st = tau_grid(params, config, np.array([complex(s)]))
+    assert st[0] == OK
+    return complex(vals[0])
+
+
 def test_tau_level_one_closed_form(p_log2):
     cfg = TauConfig(n=100, k=1, scheme="fixed_n")
-    val, report = tau_iterate(p_log2, cfg, 2.0)
-    assert abs(val + math.log(1.25)) < 1e-14
-    assert report.residual_history[0] == abs(val)
+    assert abs(_tau(p_log2, cfg, 2.0) + math.log(1.25)) < 1e-14
 
 
 def test_tau_depth_zero_is_identity(p_log2):
     cfg = TauConfig(n=100, k=0, scheme="fixed_n")
-    val, report = tau_iterate(p_log2, cfg, 3.0)
-    assert val == 0
-    assert report.terminated_by == "tolerance"
+    assert _tau(p_log2, cfg, 3.0) == 0
 
 
 def test_tau_decay_far_right(p_log2):
     cfg = TauConfig(n=100, k=5, scheme="fixed_n")
-    val, _ = tau_iterate(p_log2, cfg, 6.0)
     scale = math.exp(-LOG2 * 6)
-    assert abs(val + math.log(1 + scale)) < 1e-3 * scale
+    assert abs(_tau(p_log2, cfg, 6.0) + math.log(1 + scale)) < 1e-3 * scale
 
 
 @pytest.mark.parametrize("s,k", [(1.0, 3), (1.0, 4), (2.0, 2), (0.5, 4)])
@@ -62,47 +62,46 @@ def test_matches_direct_log_oracle(p_log2, s, k):
         y = cmath.log(y)
     direct = y - beta_eval(p_log2, s)
     cfg = TauConfig(n=100, k=k, scheme="fixed_n")
-    val, _ = tau_iterate(p_log2, cfg, s)
-    assert abs(val - direct) < 1e-12
+    assert abs(_tau(p_log2, cfg, s) - direct) < 1e-12
 
 
-def test_residual_histories_converge(p_log2, cfg100):
-    for s in (1.0, 2.0, 1 + 0.5j):
-        _, report = tau_iterate(p_log2, cfg100, s)
-        hist = report.residual_history
-        assert hist[-1] < 1e-6
-        tail = hist[5:]
-        assert all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
-        assert report.terminated_by in ("tolerance", "budget")
+def _histories(params, pts, k):
+    """|tau^{j+1} - tau^j| for j = 0..k-1, one row per j."""
+    taus = [tau_grid(params, TauConfig(n=100, k=j), pts) for j in range(k + 1)]
+    assert all(np.all(st == OK) for _, st in taus)
+    return np.abs(np.diff([t for t, _ in taus], axis=0))
 
 
-def test_cauchy_on_box(p_log2, cfg100):
-    for re in (1.0, 2.0, 3.0):
-        for im in (-0.5, 0.0, 0.5):
-            _, report = tau_iterate(p_log2, cfg100, re + 1j * im)
-            assert report.residual_history[-1] < 1e-6
+@pytest.mark.xfail(
+    strict=True,
+    reason="not monotone in k: at s = 1+0.5i the residual reaches 0 at k = 12 and "
+    "jumps by 0.91 at k = 13 (F^12 = 0.1948+0.4808i, F^13 = 0.3892+1.3657i, "
+    "F^20 = 0.3881+1.3651i); "
+    "on the 101 x 41 gate box 88 of 4141 points jump by more than 1e-3 between "
+    "consecutive k in 10..20 (branch choices, ROADMAP item 4)")
+def test_tau_residual_histories_monotone(p_log2):
+    hist = _histories(p_log2, np.array([1.0, 2.0, 1 + 0.5j]), 20)
+    assert np.all(hist[-1] < 1e-6)
+    assert np.all(np.diff(hist[5:], axis=0) <= 0)
 
 
-def test_report_contraction_estimate(p_log2):
-    cfg = TauConfig(n=100, k=4, scheme="fixed_n")
-    _, report = tau_iterate(p_log2, cfg, 1.0)
-    assert len(report.residual_history) >= 2
-    assert report.contraction_estimate is not None
-    assert 0 <= report.contraction_estimate < 1
+def test_cauchy_on_box(p_log2):
+    # the top levels fall below rounding, so tau^19 and tau^20 agree exactly
+    pts = (np.array([1.0, 2.0, 3.0])[:, None] + 1j * np.array([-0.5, 0.0, 0.5])).ravel()
+    assert np.all(_histories(p_log2, pts, 20)[-1] == 0)
 
 
 def test_variable_base_matches_literal_logs():
     params = BetaParams(lam="variable", depth=100)
     cfg = TauConfig(n=100, k=1, scheme="variable_lambda")
-    val, _ = tau_iterate(params, cfg, 2.0)
     expected = cmath.log(beta_eval(params, 3.0)) - beta_eval(params, 2.0)
-    assert abs(val - expected) < 1e-12
+    assert abs(_tau(params, cfg, 2.0) - expected) < 1e-12
 
 
 def test_variable_scheme_requires_variable_params(p_log2):
     cfg = TauConfig(n=10, k=3, scheme="variable_lambda")
     with pytest.raises(ValueError):
-        tau_iterate(p_log2, cfg, 1.0)
+        tau_grid(p_log2, cfg, np.array([1.0]))
 
 
 @pytest.mark.parametrize("lam,scheme,calls", [(LOG2, "fixed_n", [("fixed", 1, 29)]),
