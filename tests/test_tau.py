@@ -72,6 +72,14 @@ def _histories(params, pts, k):
     return np.abs(np.diff([t for t, _ in taus], axis=0))
 
 
+def test_residual_histories_converge(p_log2):
+    # every point settles by k = 20; on the real line the tail also shrinks
+    # monotonically (off it, see test_tau_residual_histories_monotone)
+    hist = _histories(p_log2, np.array([1.0, 2.0, 1 + 0.5j]), 20)
+    assert np.all(hist[-1] < 1e-6)
+    assert np.all(np.diff(hist[5:, :2], axis=0) <= 0)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="not monotone in k: at s = 1+0.5i the residual reaches 0 at k = 12 and "
