@@ -8,8 +8,10 @@ its limit satisfies
 and is 2*pi*i/lambda periodic in s.  The substitution w = e^{lambda s} turns
 the family into g(w) with g(0) = 0, radius of convergence e^{Re lambda}, and
 the scaling law g(e^lambda w) = (w/(w+1)) e^{g(w)}; f(w) = g(1/w) is the
-reciprocal form used near infinity.  The "variable" mode replaces the
-exponent by (j - s)/sqrt(1 + s) (principal branch, cut on (-inf, -1]).
+reciprocal form used near infinity.  g_eval(lam, w) and f_eval(lam, w)
+evaluate the limit from 40 Taylor terms of g, with no depth.  The
+"variable" mode replaces the exponent by (j - s)/sqrt(1 + s) (principal
+branch, cut on (-inf, -1]).
 """
 
 import cmath
@@ -81,13 +83,7 @@ class TaylorSeries:
     lam: complex
     coefficients: np.ndarray          # a_k = g^{(k)}(0)
     radius: float
-    _monomial: np.ndarray = field(repr=False, default=None)  # a_k / k!
-
-    def monomial(self):
-        if self._monomial is not None:
-            return self._monomial
-        fact = np.array([_float_factorial(k) for k in range(len(self.coefficients))], float)
-        return self.coefficients / fact
+    monomial: np.ndarray = field(repr=False)  # a_k / k!
 
 
 def _float_factorial(k):
@@ -125,22 +121,16 @@ def taylor_coefficients(lam, K):
     if not np.all(np.isfinite(coeff.real) & np.isfinite(coeff.imag)):
         raise ShortCircuit(f"a_k overflows double range before K={K}")
     return TaylorSeries(lam=lam, coefficients=coeff,
-                        radius=math.exp(lam.real), _monomial=a)
+                        radius=math.exp(lam.real), monomial=a)
+
+
+# Taylor terms summed inside the disk
+_TERMS = 40
 
 
 @lru_cache(maxsize=64)
-def _cached_series(lam, terms):
-    return taylor_coefficients(lam, terms)
-
-
-def _resolve_series(series_or_params, terms):
-    if isinstance(series_or_params, TaylorSeries):
-        return series_or_params
-    if isinstance(series_or_params, BetaParams):
-        if series_or_params.is_variable:
-            raise ValueError("w-coordinate forms are defined for fixed lambda only")
-        return _cached_series(complex(series_or_params.lam), terms)
-    return _cached_series(complex(series_or_params), terms)
+def _cached_series(lam):
+    return taylor_coefficients(lam, _TERMS)
 
 
 # safe fraction of the convergence radius for direct Taylor summation
@@ -155,7 +145,7 @@ _MAX_PULL_STEPS = 4096
 _PUSH_COND_MAX = 100.0
 
 
-def g_eval(series_or_params, w, terms=40):
+def g_eval(lam, w):
     """Evaluate g: Taylor sum inside the disk, scaling-law continuation outside.
 
     The argument is pulled inside |w| <= 0.35 e^{Re lambda} by repeated
@@ -167,7 +157,7 @@ def g_eval(series_or_params, w, terms=40):
     product of max(1, |g|) over the level inputs; where that exceeds
     _PUSH_COND_MAX, ShortCircuit is raised.
     """
-    series = _resolve_series(series_or_params, terms)
+    series = _cached_series(complex(lam))
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise NonFinite("w is not finite")
@@ -183,7 +173,7 @@ def g_eval(series_or_params, w, terms=40):
         if pulls > _MAX_PULL_STEPS:
             raise ShortCircuit(f"|w|={abs(w):.3g} needs more than {_MAX_PULL_STEPS} pull-in steps")
     value = 0j
-    for c in series.monomial()[::-1]:
+    for c in series.monomial[::-1]:
         value = value * wi + c
     values, status = _kernels._w(w, series.lam, pulls, value, rows=max(pulls, 1))
     if status[-1, 0] == SHORT_CIRCUIT:
@@ -198,12 +188,12 @@ def g_eval(series_or_params, w, terms=40):
     return complex(values[-1, 0])
 
 
-def f_eval(series_or_params, w, terms=40):
+def f_eval(lam, w):
     """Reciprocal form f(w) = g(1/w); satisfies f(e^{-lambda} w) = e^{f(w)}/(1+w)."""
     w = complex(w)
     if w == 0:
         raise DomainError("f is undefined at w = 0")
-    return g_eval(series_or_params, 1.0 / w, terms=terms)
+    return g_eval(lam, 1.0 / w)
 
 
 def singular_lattice(lam, window, jmax=64, kmax=64):

@@ -10,36 +10,19 @@ import argparse
 import re
 import sys
 
-from .beta import VARIABLE, BetaParams, beta_eval, f_eval, g_eval, taylor_coefficients
-from .errors import BetaTetError
-from .render import FUNCTIONS, Overlay, RenderSpec, export_real_line, render_hue, write_csv
-from .tau import F_eval, TauConfig
-from .tetration import PROFILES, get_model, tet_eval
+import numpy as np
+
+from .beta import VARIABLE, f_eval, g_eval, taylor_coefficients
+from .errors import BetaTetError, raise_for_status
+from .render import (FUNCTIONS, Overlay, RenderSpec, _evaluate_fn, check_lam, export_real_line,
+                     render_hue, write_csv)
+from .tetration import PROFILES, get_model
 
 
 def parse_complex(text):
-    """Parse 'a+bi' with optional real/imaginary parts."""
+    """Parse 'a+bi' with optional real/imaginary parts ('j' works too)."""
     t = text.strip().replace(" ", "")
-    if not t:
-        raise ValueError("empty complex literal")
-    if t[-1] in "ij":
-        body = t[:-1]
-        # split into real and imaginary pieces at the last sign not in an exponent
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                re_part, im_part = body[:pos], body[pos:]
-                break
-        else:
-            re_part, im_part = "", body
-        if im_part in ("", "+"):
-            im_val = 1.0
-        elif im_part == "-":
-            im_val = -1.0
-        else:
-            im_val = float(im_part)
-        re_val = float(re_part) if re_part else 0.0
-        return complex(re_val, im_val)
-    return complex(float(t), 0.0)
+    return complex(t[:-1] + "j" if t.endswith("i") else t)
 
 
 def parse_lambda(text):
@@ -131,25 +114,15 @@ def build_parser():
 
 
 def _cmd_eval(args):
-    fn = args.fn
-    if fn == "tet":
-        model = get_model(profile=args.profile)
-        value = tet_eval(model, args.point)
-    elif fn == "F":
-        if args.lam is None:
-            raise ValueError("F requires --lambda (or 'variable')")
-        params = BetaParams(lam=args.lam, depth=args.depth)
-        scheme = "variable_lambda" if params.is_variable else "fixed_n"
-        config = TauConfig(n=args.depth, k=args.tau_depth, scheme=scheme)
-        value = F_eval(params, config, args.point)
-    elif fn == "beta":
-        if args.lam is None:
-            raise ValueError("beta requires --lambda (or 'variable')")
-        value = beta_eval(BetaParams(lam=args.lam, depth=args.depth), args.point)
+    fn, z = args.fn, args.point
+    if fn in ("g", "f"):
+        check_lam(fn, args.lam)
+        value = (g_eval if fn == "g" else f_eval)(args.lam, z)
     else:
-        if args.lam is None or args.lam == VARIABLE:
-            raise ValueError(f"{fn} requires a fixed --lambda")
-        value = (g_eval if fn == "g" else f_eval)(args.lam, args.point)
+        depth, tau_depth = PROFILES[args.profile] if fn == "tet" else (args.depth, args.tau_depth)
+        values, status = _evaluate_fn(fn, args.lam, depth, tau_depth, None, np.array([z]))
+        raise_for_status(status[0], f"{fn} at s={z}")
+        value = values[0]
     print(format_complex(value))
     return 0
 

@@ -11,6 +11,9 @@ X = C (1 - |(6H mod 2) - 1|), m = L - C/2, channel = round(255 (c + m)).
 Failed pixels (singular point, short-circuit, NaN, branch cut) render as
 mid-gray (128, 128, 128); |v| = 0 renders black.  Pixels are sampled at
 cell centers, row-major, top row at the maximum imaginary part.
+
+Renders, real-line exports and the CLI's eval (a grid of one) all evaluate
+through _evaluate_fn, and check_lam holds its lambda rule.
 """
 
 from dataclasses import dataclass, field
@@ -57,10 +60,7 @@ class RenderSpec:
             raise ValueError("resolution must be >= 1x1")
         if self.fn not in FUNCTIONS:
             raise ValueError(f"fn must be one of {FUNCTIONS}")
-        if self.fn in ("beta", "g", "f", "F") and self.lam is None:
-            raise ValueError(f"fn={self.fn!r} requires lam")
-        if self.fn in ("g", "f") and self.lam == VARIABLE:
-            raise ValueError("w-coordinate renders require fixed lambda")
+        check_lam(self.fn, self.lam)
         if self.depth < 1 or self.tau_depth < 0:
             raise ValueError("invalid depth profile")
 
@@ -91,7 +91,17 @@ def pixel_grid(spec):
     return re[None, :] + 1j * im[:, None]
 
 
+def check_lam(fn, lam):
+    """The fn/lambda rule: beta and F need a lambda, g and f a fixed one."""
+    if fn in ("beta", "F") and lam is None:
+        raise ValueError(f"{fn} requires a lambda (a complex number or {VARIABLE!r})")
+    if fn in ("g", "f") and (lam is None or lam == VARIABLE):
+        raise ValueError(f"{fn} requires a fixed lambda")
+
+
 def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
+    """(values, status) of fn over Z."""
+    check_lam(fn, lam)
     if fn == "beta":
         params = BetaParams(lam=lam, depth=depth)
         return beta_grid(params, Z)
@@ -104,10 +114,8 @@ def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
         st[zero] = DOMAIN
         return vals, st
     if fn == "F":
-        params = BetaParams(lam=lam, depth=depth)
-        scheme = scheme or ("variable_lambda" if lam == VARIABLE else "fixed_n")
-        config = TauConfig(n=depth, k=tau_depth, scheme=scheme)
-        return F_grid(params, config, Z)
+        config = TauConfig(n=depth, k=tau_depth, scheme=scheme or "fixed_n")
+        return F_grid(BetaParams(lam=lam, depth=depth), config, Z)
     if fn == "tet":
         return tet_grid(get_model(n=depth, k=tau_depth), Z)
     if fn == "slog":

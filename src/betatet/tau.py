@@ -58,9 +58,10 @@ _CUT_EPS = 1e-12
 class TauConfig:
     """Depth profile for the pullback: beta depth n, tau depth k, scheme.
 
-    The scheme follows the family: fixed_n for a fixed lambda, and
-    variable_lambda, which requires BetaParams(lam='variable').  Variable
-    params select the variable descent under either scheme.
+    n must equal the BetaParams depth.  The scheme follows the family:
+    fixed_n for a fixed lambda, and variable_lambda, which requires
+    BetaParams(lam='variable').  Variable params select the variable descent
+    under either scheme, so callers leave the default.
     """
 
     n: int = 100
@@ -102,6 +103,8 @@ def _stacks(params, config, sf):
     B/SB hold beta(sf + m) and its status in row m.
     """
     mode = _mode(params, config)
+    if params.depth != config.n:
+        raise ValueError(f"BetaParams.depth={params.depth} differs from TauConfig.n={config.n}")
     k = config.k
     if mode == "fixed":
         lam, rows = complex(params.lam), max(k, 1)

@@ -15,8 +15,8 @@ implemented on the branch reaching the real base interval [0, e]: per-point
 log/exp reductions onto the interval, then Newton iteration seeded from a
 precomputed monotone table.  slog_grid runs Newton on every live target at
 once, with one tet_grid call per step on the stencil [s, s+h, s-h]; points
-that converge or fail leave the batch.  slog_eval and exp_iter are grids of
-one.
+that converge or fail leave the batch.  tet_eval, slog_eval and exp_iter
+are grids of one.
 """
 
 import cmath
@@ -65,7 +65,7 @@ class TetModel:
 
     @property
     def config(self):
-        return TauConfig(n=self.n, k=self.k, scheme="variable_lambda")
+        return TauConfig(n=self.n, k=self.k)
 
     @property
     def params(self):
@@ -73,9 +73,8 @@ class TetModel:
 
 
 def _f_line(xs, n, k):
-    params = BetaParams(lam=VARIABLE, depth=n)
-    config = TauConfig(n=n, k=k, scheme="variable_lambda")
-    return F_grid(params, config, np.asarray(xs, np.complex128))
+    return F_grid(BetaParams(lam=VARIABLE, depth=n), TauConfig(n=n, k=k),
+                  np.asarray(xs, np.complex128))
 
 
 def _bracket(n, k):
@@ -164,9 +163,10 @@ def _tet_arrays(Z, x0, n, k):
     """Step-recursion evaluation over an array; returns (values, status).
 
     The cut test runs first, so -inf is branch_cut; any other non-finite s is
-    nonfinite.  Step counts stay floats, so no |Re s| overflows them.  Each
-    loop ends once no point is live: exp stops at the overflow guard, log at
-    the cut or once a step leaves the value unchanged (log's fixed point).
+    nonfinite.  Step counts stay floats, so no |Re s| overflows them.  One
+    loop steps exp right of the strip and log left of it, and ends once no
+    point is live: exp stops at the overflow guard, log at the cut or once a
+    step leaves the value unchanged (log's fixed point).
     """
     Z = np.atleast_1d(np.asarray(Z, np.complex128))
     status = np.zeros(Z.shape, np.int8)
@@ -181,27 +181,22 @@ def _tet_arrays(Z, x0, n, k):
     vals = vals.reshape(Z.shape)
     status = np.where(status == OK, fst.reshape(Z.shape), status)
     with np.errstate(all="ignore"):
-        live = (steps > 0) & (status == OK)
+        live = (steps != 0) & (status == OK)
         for step in itertools.count(1):
-            live &= steps >= step
+            live &= np.abs(steps) >= step
             if not live.any():
                 break
-            ovf = live & (vals.real > OVERFLOW_GUARD)
-            status[ovf] = SHORT_CIRCUIT
-            live &= ~ovf
-            vals[live] = np.exp(vals[live])
-        live = (steps < 0) & (status == OK)
-        for step in itertools.count(1):
-            live &= steps <= -step
-            if not live.any():
-                break
-            cut = live & _on_cut(vals)
-            status[cut] = SHORT_CIRCUIT
-            live &= ~cut
-            old = vals[live]
+            up = live & (steps > 0)
+            stop = np.where(up, vals.real > OVERFLOW_GUARD, _on_cut(vals))
+            status[live & stop] = SHORT_CIRCUIT
+            live &= ~stop
+            up &= live
+            down = live & ~up
+            vals[up] = np.exp(vals[up])
+            old = vals[down]
             new = np.log(old)
-            vals[live] = new
-            live[live] = new != old
+            vals[down] = new
+            live[down] = new != old
     return vals, status
 
 
@@ -209,8 +204,7 @@ def tet_grid(model, Z):
     """Vectorized tetration; returns (values, status) with the input shape."""
     Z = np.asarray(Z, np.complex128)
     shape = Z.shape if Z.shape else (1,)
-    v, st = _tet_arrays(Z.reshape(shape), model.x0, model.n, model.k)
-    return v, st
+    return _tet_arrays(Z.reshape(shape), model.x0, model.n, model.k)
 
 
 def _raise_for_tet(code, s):
@@ -220,8 +214,8 @@ def _raise_for_tet(code, s):
 
 
 def tet_eval(model, s):
-    """Scalar tetration; raises BranchCut / ShortCircuit on failure."""
-    v, st = _tet_arrays(np.array([complex(s)]), model.x0, model.n, model.k)
+    """Scalar tetration: tet_grid of one; raises BranchCut / ShortCircuit on failure."""
+    v, st = tet_grid(model, complex(s))
     _raise_for_tet(int(st[0]), s)
     return complex(v[0])
 

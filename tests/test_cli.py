@@ -93,6 +93,18 @@ def test_eval_missing_lambda_exit_code(capsys):
         assert "lambda" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fn", "beta"], ["--fn", "g"], ["--fn", "f"], ["--fn", "F"],
+    ["--fn", "g", "--lambda", "variable"], ["--fn", "f", "--lambda", "variable"],
+], ids=["beta", "g", "f", "F", "g-variable", "f-variable"])
+def test_line_missing_lambda_exit_code(argv, tmp_path, capsys):
+    rc = main(["line", *argv, "--from", "0.5", "--to", "1", "--samples", "3",
+               "--out", str(tmp_path / "line.csv")])
+    assert rc == 2
+    assert "lambda" in capsys.readouterr().err
+    assert not (tmp_path / "line.csv").exists()
+
+
 def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "beta", "--definitely-not-a-flag"])

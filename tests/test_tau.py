@@ -112,6 +112,13 @@ def test_variable_scheme_requires_variable_params(p_log2):
         tau_grid(p_log2, cfg, np.array([1.0]))
 
 
+@pytest.mark.parametrize("evaluate", [F_grid, tau_grid, F_eval])
+def test_depth_must_match_config(evaluate):
+    # the descent reads config.n alone, so a mismatch would return the n = 100 value
+    with pytest.raises(ValueError, match="depth"):
+        evaluate(BetaParams(lam=LOG2, depth=10), TauConfig(n=100, k=5), 1.0)
+
+
 @pytest.mark.parametrize("lam,scheme,calls", [(LOG2, "fixed_n", [("fixed", 1, 29)]),
                                               ("variable", "variable_lambda", [("variable", 6, 25)])],
                          ids=["fixed", "variable"])
@@ -208,10 +215,10 @@ def test_fixed_F_functional_equation_defect(lam, n, k):
     assert _gate(defect, F1, (s0 == OK) & (s1 == OK)) <= 1e-10
 
 
-def test_F_complex_residual_small_where_orbit_escapes(p_log2):
-    cfg = TauConfig(n=10, k=5, scheme="fixed_n")
+def test_F_complex_residual_small_where_orbit_escapes():
+    p, cfg = BetaParams(lam=LOG2, depth=10), TauConfig(n=10, k=5, scheme="fixed_n")
     s = 0.2 + 0.3j
-    r = abs(F_eval(p_log2, cfg, s + 1) - cmath.exp(F_eval(p_log2, cfg, s)))
+    r = abs(F_eval(p, cfg, s + 1) - cmath.exp(F_eval(p, cfg, s)))
     assert r < 1e-4
 
 
@@ -221,10 +228,10 @@ def test_F_complex_residual_small_where_orbit_escapes(p_log2):
     "point sits where the shifted orbit wanders before escaping, so the "
     "level-5 correction residual is ~1e-1 under the reference semantics",
 )
-def test_F_complex_residual_spec_point(p_log2):
-    cfg = TauConfig(n=10, k=5, scheme="fixed_n")
+def test_F_complex_residual_spec_point():
+    p, cfg = BetaParams(lam=LOG2, depth=10), TauConfig(n=10, k=5, scheme="fixed_n")
     s = 0.5 + 0.5j
-    r = abs(F_eval(p_log2, cfg, s + 1) - cmath.exp(F_eval(p_log2, cfg, s)))
+    r = abs(F_eval(p, cfg, s + 1) - cmath.exp(F_eval(p, cfg, s)))
     assert r < 1e-4
 
 

@@ -47,7 +47,7 @@ def test_a1_closed_form():
 def test_recursion_matches_derivative_oracle(lam):
     series = taylor_coefficients(lam, 6)
     oracle = circle_derivative_oracle(lam, 6)
-    rel = np.abs(series.monomial()[1:7] - oracle[1:7]) / np.abs(oracle[1:7])
+    rel = np.abs(series.monomial[1:7] - oracle[1:7]) / np.abs(oracle[1:7])
     assert rel.max() < 1e-6
 
 
@@ -152,10 +152,4 @@ def test_f_zero_rejected():
 
 def test_g_variable_params_rejected():
     with pytest.raises(ValueError):
-        g_eval(BetaParams(lam="variable", depth=10), 0.1)
-
-
-def test_g_accepts_params_and_series():
-    params = BetaParams(lam=LOG2, depth=50)
-    series = taylor_coefficients(LOG2, 40)
-    assert g_eval(params, 0.1) == g_eval(series, 0.1)
+        g_eval("variable", 0.1)
