@@ -172,24 +172,6 @@ def _beta(s, lam, depth, rows=None):
     return _compose(_beta_level, depth, np.zeros(s.shape, np.complex128), s, rate, rows=rows)
 
 
-def _w(w, lam, depth, f=None, rows=None):
-    """w-coordinate recursion over an array of w, from f (default 0)."""
-    w = _as_c128(w)
-    lam = complex(lam)
-
-    def level(j, f, w):
-        x = lam * j
-        if x.real > OVERFLOW_GUARD:
-            # e^{lambda j} would overflow: w e^f/(e^x + w) = w e^{f-x}/(1 + w e^{-x})
-            return np.exp(f - x) * w / (1.0 + w * np.exp(-x)), np.zeros(f.shape, bool)
-        ej = np.exp(x)
-        den = ej + w
-        return np.exp(f) * w / den, np.abs(den) < SINGULAR_RADIUS * abs(ej)
-
-    f = np.zeros(w.shape, np.complex128) if f is None else np.broadcast_to(f, w.shape)
-    return _compose(level, depth, f, w, rows=rows)
-
-
 def beta_fixed_grid(s, lam, depth, rows=None):
     """Depth-n fixed-lambda composition over an array of s values.
 
@@ -208,9 +190,23 @@ def beta_variable_grid(s, depth):
     return _beta(s, None, int(depth))
 
 
-def g_comp_grid(w, lam, depth):
-    """Depth-n w-coordinate composition f <- w e^f/(e^{lambda j} + w)."""
-    return _w(w, lam, int(depth))
+def g_comp_grid(w, lam, depth, f=None, rows=None):
+    """Depth-n w-coordinate composition f <- w e^f/(e^{lambda j} + w) over an
+    array of w, from f (default 0); rows as in beta_fixed_grid."""
+    w = _as_c128(w)
+    lam = complex(lam)
+
+    def level(j, f, w):
+        x = lam * j
+        if x.real > OVERFLOW_GUARD:
+            # e^{lambda j} would overflow: w e^f/(e^x + w) = w e^{f-x}/(1 + w e^{-x})
+            return np.exp(f - x) * w / (1.0 + w * np.exp(-x)), np.zeros(f.shape, bool)
+        ej = np.exp(x)
+        den = ej + w
+        return np.exp(f) * w / den, np.abs(den) < SINGULAR_RADIUS * abs(ej)
+
+    f = np.zeros(w.shape, np.complex128) if f is None else np.broadcast_to(f, w.shape)
+    return _compose(level, int(depth), f, w, rows=rows)
 
 
 def available_backends():

@@ -8,10 +8,10 @@ its limit satisfies
 and is 2*pi*i/lambda periodic in s.  The substitution w = e^{lambda s} turns
 the family into g(w) with g(0) = 0, radius of convergence e^{Re lambda}, and
 the scaling law g(e^lambda w) = (w/(w+1)) e^{g(w)}; f(w) = g(1/w) is the
-reciprocal form used near infinity.  g_eval(lam, w) and f_eval(lam, w)
-evaluate the limit from 40 Taylor terms of g, with no depth.  The
-"variable" mode replaces the exponent by (j - s)/sqrt(1 + s) (principal
-branch, cut on (-inf, -1]).
+reciprocal form used near infinity.  g_grid and f_grid evaluate the limit
+from 40 Taylor terms of g, with no depth; g_eval and f_eval are grids of
+one.  The "variable" mode replaces the exponent by (j - s)/sqrt(1 + s)
+(principal branch, cut on (-inf, -1]).
 """
 
 import cmath
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import SHORT_CIRCUIT, DomainError, NonFinite, ShortCircuit, raise_for_status
+from .errors import DOMAIN, NONFINITE, OK, SHORT_CIRCUIT, ShortCircuit, raise_for_status
 
 VARIABLE = "variable"
 
@@ -137,7 +137,7 @@ def _cached_series(lam):
 _TAYLOR_FRACTION = 0.35
 _MAX_PULL_STEPS = 4096
 
-# push-out condition estimate above which g_eval signals instead of returning:
+# push-out condition estimate above which g_grid signals instead of returning:
 # on 5489 random (lambda, w) pairs (ten lambdas from 0.05 to 0.5+3i, |w| from
 # 0.5 to 3000) the relative error against a 60-digit push-out from the same
 # Taylor value stayed below 3.2e-15 times the estimate, so up to this bound
@@ -145,55 +145,77 @@ _MAX_PULL_STEPS = 4096
 _PUSH_COND_MAX = 100.0
 
 
-def g_eval(lam, w):
-    """Evaluate g: Taylor sum inside the disk, scaling-law continuation outside.
+def g_grid(lam, w):
+    """g over an array of w; returns (values, status) arrays.
 
-    The argument is pulled inside |w| <= 0.35 e^{Re lambda} by repeated
-    division by e^lambda, summed there, then pushed back out through
-    g(e^lambda w) = (w/(w+1)) e^{g(w)}: the w kernel runs one level per
-    pull, starting from the Taylor value, with its singular and overflow
-    guards.  A level maps a relative error of its output to an absolute
-    error of its input, so the push-out magnifies rounding by up to the
-    product of max(1, |g|) over the level inputs; where that exceeds
-    _PUSH_COND_MAX, ShortCircuit is raised.
+    Each point is pulled inside |w| <= 0.35 e^{Re lambda} by repeated
+    division by e^lambda, summed there from the Taylor terms, and pushed back
+    out through g(e^lambda w) = (w/(w+1)) e^{g(w)}: one w-kernel level per
+    pull, one kernel call per distinct pull count, so a point's bits do not
+    depend on its batch.  The push-out magnifies rounding by up to the
+    product of max(1, |g|) over the level inputs; above _PUSH_COND_MAX, or
+    past _MAX_PULL_STEPS pulls, the point gets short_circuit.
     """
-    series = _cached_series(complex(lam))
-    w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise NonFinite("w is not finite")
-    if w == 0:
-        return 0j
-    elam = cmath.exp(series.lam)
-    thresh = _TAYLOR_FRACTION * series.radius
-    wi = w
-    pulls = 0
-    while abs(wi) > thresh:
-        wi /= elam
-        pulls += 1
-        if pulls > _MAX_PULL_STEPS:
-            raise ShortCircuit(f"|w|={abs(w):.3g} needs more than {_MAX_PULL_STEPS} pull-in steps")
-    value = 0j
-    for c in series.monomial[::-1]:
-        value = value * wi + c
-    values, status = _kernels._w(w, series.lam, pulls, value, rows=max(pulls, 1))
-    if status[-1, 0] == SHORT_CIRCUIT:
-        raise ShortCircuit("push-out exponential exceeds double range",
-                           last_value=complex(values[-1, 0]))
-    raise_for_status(status[-1, 0], f"g({w}) push-out")
-    inputs = np.concatenate([[value], values[:-1, 0]])
-    with np.errstate(over="ignore"):
-        cond = np.prod(np.maximum(1.0, np.abs(inputs)))
-    if cond > _PUSH_COND_MAX:
-        raise ShortCircuit(f"g({w}) push-out is ill-conditioned (estimate {cond:.3g})")
-    return complex(values[-1, 0])
+    return _g_points(lam, w)[:2]
+
+
+def f_grid(lam, w):
+    """Reciprocal form f(w) = g(1/w) over an array; w = 0 gets domain."""
+    return _g_points(lam, w, reciprocal=True)[:2]
+
+
+def g_eval(lam, w):
+    """g at one point: g_grid of one, raising on a failure status."""
+    return _g_one(lam, w, reciprocal=False)
 
 
 def f_eval(lam, w):
-    """Reciprocal form f(w) = g(1/w); satisfies f(e^{-lambda} w) = e^{f(w)}/(1+w)."""
-    w = complex(w)
-    if w == 0:
-        raise DomainError("f is undefined at w = 0")
-    return g_eval(lam, 1.0 / w)
+    """f at one point: f_grid of one; satisfies f(e^{-lambda} w) = e^{f(w)}/(1+w)."""
+    return _g_one(lam, w, reciprocal=True)
+
+
+def _g_one(lam, w, reciprocal):
+    values, status, cond = _g_points(lam, np.array([complex(w)]), reciprocal)
+    value, name = complex(values[0]), "f" if reciprocal else "g"
+    if cond[0] > _PUSH_COND_MAX:
+        raise ShortCircuit(f"{name}({w}) push-out is ill-conditioned (estimate {cond[0]:.3g})")
+    if status[0] == SHORT_CIRCUIT and cmath.isfinite(value):
+        raise ShortCircuit("push-out exponential exceeds double range", last_value=value)
+    raise_for_status(status[0], f"{name}({w})")
+    return value
+
+
+def _g_points(lam, w, reciprocal=False):
+    """g_grid (or f_grid) values and status, and the push-out condition
+    estimate: 0 where no push-out finished."""
+    series = _cached_series(complex(lam))
+    w = np.asarray(w, np.complex128)
+    shape, zero = w.shape, reciprocal & (w == 0)
+    with np.errstate(all="ignore"):
+        w = (1.0 / w if reciprocal else w).ravel()
+    status = np.where(np.isfinite(w), OK, NONFINITE).astype(np.int8)
+    values, cond = np.full(w.shape, np.nan, np.complex128), np.zeros(w.shape)
+    elam, thresh = cmath.exp(series.lam), _TAYLOR_FRACTION * series.radius
+    wi, pulls = np.where(status == OK, w, 0), np.zeros(w.shape, int)
+    out = np.flatnonzero(np.abs(wi) > thresh)
+    while out.size and pulls[out[0]] < _MAX_PULL_STEPS:    # every point in out has as many pulls
+        wi[out] /= elam
+        pulls[out] += 1
+        out = out[np.abs(wi[out]) > thresh]
+    status[out], wi[out] = SHORT_CIRCUIT, 0
+    taylor = np.polyval(series.monomial[::-1], wi)           # Horner, constant term last
+    for p in np.unique(pulls[status == OK]).tolist():
+        at = np.flatnonzero((status == OK) & (pulls == p))
+        rows, st = _kernels.g_comp_grid(w[at], series.lam, p, taylor[at], rows=max(p, 1))
+        est = np.maximum(1.0, np.abs(taylor[at]))
+        with np.errstate(over="ignore"):
+            for row in rows[:-1]:
+                est = est * np.maximum(1.0, np.abs(row))
+        values[at], status[at] = rows[-1], st[-1]
+        cond[at] = np.where(st[-1] == OK, est, 0.0)
+    status[cond > _PUSH_COND_MAX] = SHORT_CIRCUIT
+    status[zero.ravel()] = DOMAIN
+    return values.reshape(shape), status.reshape(shape), cond.reshape(shape)
 
 
 def singular_lattice(lam, window, jmax=64, kmax=64):

@@ -12,10 +12,10 @@ import sys
 
 import numpy as np
 
-from .beta import VARIABLE, f_eval, g_eval, taylor_coefficients
+from .beta import VARIABLE, taylor_coefficients
 from .errors import BetaTetError, raise_for_status
-from .render import (FUNCTIONS, Overlay, RenderSpec, _evaluate_fn, check_lam, export_real_line,
-                     render_hue, write_csv)
+from .render import (FUNCTIONS, Overlay, RenderSpec, _evaluate_fn, export_real_line, render_hue,
+                     write_csv)
 from .tetration import PROFILES, get_model
 
 
@@ -115,15 +115,10 @@ def build_parser():
 
 def _cmd_eval(args):
     fn, z = args.fn, args.point
-    if fn in ("g", "f"):
-        check_lam(fn, args.lam)
-        value = (g_eval if fn == "g" else f_eval)(args.lam, z)
-    else:
-        depth, tau_depth = PROFILES[args.profile] if fn == "tet" else (args.depth, args.tau_depth)
-        values, status = _evaluate_fn(fn, args.lam, depth, tau_depth, None, np.array([z]))
-        raise_for_status(status[0], f"{fn} at s={z}")
-        value = values[0]
-    print(format_complex(value))
+    depth, tau_depth = PROFILES[args.profile] if fn == "tet" else (args.depth, args.tau_depth)
+    values, status = _evaluate_fn(fn, args.lam, depth, tau_depth, None, np.array([z]))
+    raise_for_status(status[0], f"{fn} at s={z}")
+    print(format_complex(values[0]))
     return 0
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .beta import VARIABLE, BetaParams, beta_grid
-from .errors import OK, STATUS_NAMES, DOMAIN
+from .beta import VARIABLE, BetaParams, beta_grid, f_grid, g_grid
+from .errors import OK, STATUS_NAMES
 from .tau import F_grid, TauConfig
 from .tetration import get_model, slog_grid, tet_grid
 
@@ -105,14 +104,8 @@ def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
     if fn == "beta":
         params = BetaParams(lam=lam, depth=depth)
         return beta_grid(params, Z)
-    if fn == "g":
-        return _kernels.g_comp_grid(Z, lam, depth)
-    if fn == "f":
-        zero = Z == 0
-        with np.errstate(all="ignore"):
-            vals, st = _kernels.g_comp_grid(np.where(zero, 1.0, 1.0 / Z), lam, depth)
-        st[zero] = DOMAIN
-        return vals, st
+    if fn in ("g", "f"):
+        return (g_grid if fn == "g" else f_grid)(lam, Z)
     if fn == "F":
         config = TauConfig(n=depth, k=tau_depth, scheme=scheme or "fixed_n")
         return F_grid(BetaParams(lam=lam, depth=depth), config, Z)

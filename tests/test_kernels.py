@@ -203,7 +203,7 @@ def test_bits_independent_of_batch_size(monkeypatch):
     for run, pts in [(lambda i: _kernels.beta_variable_grid(s[i], 25), s),
                      (lambda i: _kernels.g_comp_grid(w[i], 0.5 + 3j, 25), w),
                      (lambda i: _kernels.beta_fixed_grid(s[i], 0.5 + 3j, 29, 5), s),
-                     (lambda i: _kernels._w(w[i], 0.5 + 3j, 25, f0[i]), w)]:
+                     (lambda i: _kernels.g_comp_grid(w[i], 0.5 + 3j, 25, f0[i]), w)]:
         for cpus in (1, 3):
             monkeypatch.setattr(_kernels, "_CPUS", cpus)
             values, status = run(slice(None))

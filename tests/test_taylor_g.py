@@ -1,6 +1,8 @@
 import cmath
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from betatet import (
     taylor_coefficients,
 )
 from betatet._kernels import g_comp_grid
-from betatet.errors import OK
+from betatet.beta import f_grid, g_grid
+from betatet.errors import DOMAIN, NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, NonFinite
+from betatet.render import _evaluate_fn
 
 LOG2 = math.log(2.0)
 
@@ -153,3 +157,92 @@ def test_f_zero_rejected():
 def test_g_variable_params_rejected():
     with pytest.raises(ValueError):
         g_eval("variable", 0.1)
+
+
+SIGNALS = {SINGULAR: SingularPoint, SHORT_CIRCUIT: ShortCircuit, NONFINITE: NonFinite,
+           DOMAIN: DomainError}
+SPECIAL_W = [0, 50, complex("nan"), complex("inf"), 76.66 + 1035.67j]
+
+
+def seeded_w(rng, count):
+    """|w| log-uniform on [1e-3, 3e3], argument uniform."""
+    return (np.exp(rng.uniform(math.log(1e-3), math.log(3e3), count))
+            * np.exp(1j * rng.uniform(-math.pi, math.pi, count)))
+
+
+def bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def test_scalar_is_grid_of_one():
+    # g_eval / f_eval return the grid's bits where it says ok and raise the
+    # class of its status elsewhere, whatever the batch around the point
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for lam in (0.05, LOG2, 1.0, 0.5 + 3j, 0.3 + 0.1j):
+        w = np.concatenate([seeded_w(rng, 410), SPECIAL_W, [-cmath.exp(lam)]])
+        for grid, scalar in ((g_grid, g_eval), (f_grid, f_eval)):
+            values, status = grid(lam, w)
+            for z, v, st in zip(w, values, status):
+                seen.add(int(st))
+                if st == OK:
+                    assert bits(scalar(lam, z)) == bits(v), (lam, z)
+                else:
+                    with pytest.raises(SIGNALS[st]):
+                        scalar(lam, z)
+    assert seen == {OK, *SIGNALS}
+
+
+def test_render_rejects_ill_conditioned_push_out():
+    # the documented point was 0.43 relative from a 60-digit value at depth
+    # 400, with status ok; g and f no longer take a depth
+    w = np.array([76.66 + 1035.67j])
+    for fn, z in (("g", w), ("f", 1.0 / w)):
+        _, st = _evaluate_fn(fn, 0.05, 400, 5, None, z)
+        assert st[0] == SHORT_CIRCUIT, fn
+    z = seeded_w(np.random.default_rng(9), 200)
+    for fn in ("g", "f"):
+        a, sa = _evaluate_fn(fn, LOG2, 400, 5, None, z)
+        b, sb = _evaluate_fn(fn, LOG2, 3, 5, None, z)
+        assert np.array_equal(sa, sb) and a[sa == OK].tobytes() == b[sb == OK].tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def mp_monomials(lam, terms=80):
+    """a_k / k! of g at 30 digits, from the recursion taylor_coefficients uses."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(-mpmath.mpc(lam))
+        a = [mpmath.mpc(0)] * (terms + 1)
+        b = [mpmath.mpc(1)] + [mpmath.mpc(0)] * terms
+        for k in range(1, terms + 1):
+            alt = mpmath.fsum((-1) ** c * b[c] for c in range(k))
+            a[k] = q ** k * (-1) ** (k + 1) * alt
+            b[k] = mpmath.fsum((k - d) * b[d] * a[k - d] for d in range(k)) / k
+        return a
+
+
+def mp_taylor_push_out(lam, w):
+    """g(w) at 30 digits: 80 Taylor terms at the pulled-in point, pushed out
+    through g(e^lambda w) = (w/(w+1)) e^{g(w)} one level per pull."""
+    a = mp_monomials(lam)
+    with mpmath.workdps(30):
+        lam, w = mpmath.mpc(lam), mpmath.mpc(w)
+        wi, pulls = w, 0
+        while abs(wi) > mpmath.mpf("0.35") * mpmath.exp(lam.real):
+            wi, pulls = wi / mpmath.exp(lam), pulls + 1
+        f = mpmath.polyval(a[::-1], wi)
+        for j in range(pulls, 0, -1):
+            f = w * mpmath.exp(f) / (mpmath.exp(lam * j) + w)
+        return complex(f)
+
+
+@pytest.mark.parametrize("lam", [0.05, LOG2, 1.0, 0.5 + 3j], ids=["0.05", "log2", "1", "0.5+3i"])
+def test_g_ok_points_match_mpmath_push_out(lam):
+    rng = np.random.default_rng(31)
+    w = np.append(seeded_w(rng, 40), 76.66 + 1035.67j)
+    values, status = _evaluate_fn("g", lam, 400, 5, None, w)
+    assert np.count_nonzero(status == OK) >= 20
+    for z, v in zip(w[status == OK], values[status == OK]):
+        ref = mp_taylor_push_out(lam, z)
+        assert abs(v - ref) <= 1e-12 * abs(ref), (lam, z)
