@@ -5,6 +5,7 @@ no network and writes only into the given (or a temporary) directory.
 """
 
 import math
+import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -196,8 +197,6 @@ def crit_render(out_dir):
     buf2 = render_hue(spec)
     elapsed = time.time() - t0
     b1, b2 = buf1.to_ppm(), buf2.to_ppm()
-    import os
-
     p1 = os.path.join(out_dir, "f_log2_a.ppm")
     p2 = os.path.join(out_dir, "f_log2_b.ppm")
     buf1.save(p1)
@@ -211,9 +210,13 @@ def crit_render(out_dir):
 
 
 def run_all(profile="high", out_dir=None, printer=print):
-    """Run every criterion; returns a list of CriterionResult."""
+    """Run every criterion; returns a list of CriterionResult.
+
+    A missing out_dir is created before the first criterion runs.
+    """
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="betatet-accept-")
+    os.makedirs(out_dir, exist_ok=True)
 
     t0 = time.time()
     model = calibrate(profile=profile)

@@ -86,23 +86,21 @@ class TaylorSeries:
     monomial: np.ndarray = field(repr=False)  # a_k / k!
 
 
-def _float_factorial(k):
-    f = math.factorial(k)
-    return float(f) if k <= 170 else math.inf
-
-
 def taylor_coefficients(lam, K):
     """Coefficients a_0..a_K of g from the inductive recursion.
 
     Worked in the scaled basis a_k/k! (with b_k/k! for e^{g}) so the double
     induction never touches raw factorials; the k! conversion happens once
-    at the end and flags overflow for very large K.
+    at the end and flags overflow.  From K = 171 on, K! itself is not a
+    double, so such K raise ShortCircuit before the induction runs.
     """
     lam = complex(lam)
     if lam.real <= 0:
         raise ValueError("requires Re(lambda) > 0")
     if K < 0:
         raise ValueError("K must be >= 0")
+    if K > 170:     # 171! is not a double, so a_K K! cannot be finite
+        raise ShortCircuit(f"a_k overflows double range before K={K}")
     a = np.zeros(K + 1, np.complex128)   # g's monomial coefficients
     b = np.zeros(K + 1, np.complex128)   # e^g's monomial coefficients
     b[0] = 1.0
@@ -115,7 +113,7 @@ def taylor_coefficients(lam, K):
             sign = -sign
         a[k] = (q ** k) * ((-1.0) ** (k + 1)) * alt
         b[k] = sum((k - d) * b[d] * a[k - d] for d in range(k)) / k
-    fact = np.array([_float_factorial(k) for k in range(K + 1)], float)
+    fact = np.array([float(math.factorial(k)) for k in range(K + 1)])
     with np.errstate(all="ignore"):
         coeff = a * fact
     if not np.all(np.isfinite(coeff.real) & np.isfinite(coeff.imag)):

@@ -3,7 +3,8 @@
 Complex numbers are written as "a+bi" with optional parts ("2", "-3i",
 "0.5+3i", "1e-2-0.7i"); lambda also accepts the literal "variable" for the
 drifting-exponent family.  Exit codes: 0 success, 1 evaluation failure
-(signal name on stderr), 2 flag errors.
+(signal name on stderr), 2 flag errors and output paths that cannot be
+written.
 """
 
 import argparse
@@ -180,7 +181,7 @@ def main(argv=None):
     except BetaTetError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

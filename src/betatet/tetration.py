@@ -126,13 +126,14 @@ def _bisect(lo, hi, n, k):
 
 
 def _depths(profile, n, k):
-    """(n, k) as given, or the named profile's when either is None."""
+    """(n, k) as given; a value given as None comes from the named profile."""
     if n is not None and k is not None:
         return n, k
     try:
-        return PROFILES[profile]
+        pn, pk = PROFILES[profile]
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}; use one of {sorted(PROFILES)}") from None
+    return (pn if n is None else n), (pk if k is None else k)
 
 
 def calibrate(profile="default", n=None, k=None):
@@ -140,7 +141,8 @@ def calibrate(profile="default", n=None, k=None):
 
     The bracket is found by scanning integer steps on [-5, 10] for a sign
     change of F - 1 where F is real, evaluable, and increasing; bisection
-    then runs to double-precision width.
+    then runs to double-precision width.  The depths are n and k; one left
+    as None comes from the named profile, so calibrate(n=25) runs at (25, 5).
     """
     n, k = _depths(profile, n, k)
     x0 = _bisect(*_bracket(n, k), n, k)
@@ -349,7 +351,8 @@ _MODEL_CACHE = {}
 
 
 def get_model(profile="default", n=None, k=None):
-    """Calibrate once per resolved depth profile (n, k) and cache the model."""
+    """Calibrate once per depth pair (n, k) and cache the model; n or k left
+    as None comes from the named profile, as in calibrate."""
     n, k = _depths(profile, n, k)
     if (n, k) not in _MODEL_CACHE:
         _MODEL_CACHE[n, k] = calibrate(n=n, k=k)

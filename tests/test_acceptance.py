@@ -67,3 +67,17 @@ def test_criterion_11_semigroup(results):
 
 def test_criterion_12_render_determinism(results):
     _check(results, 12)
+
+
+def test_run_all_creates_out_dir_before_the_first_criterion(tmp_path):
+    out_dir = tmp_path / "new" / "dir"
+
+    class Stop(Exception):
+        pass
+
+    def printer(line):
+        assert out_dir.is_dir(), line
+        raise Stop
+
+    with pytest.raises(Stop):
+        run_all(profile="default", out_dir=str(out_dir), printer=printer)

@@ -176,3 +176,20 @@ def test_calibrate_prints_x0(capsys):
     assert "x0 = " in out
     x0 = float(out.split("=", 1)[1].split()[0])
     assert -5 <= x0 <= 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "--fn", "f", "--lambda", "0.5+3i", "--window", "-1,1,-1,1", "--res", "4x4",
+     "--out", "{missing}/f.ppm"],
+    ["line", "--fn", "beta", "--lambda", "0.5", "--from", "0", "--to", "1", "--samples", "3",
+     "--out", "{missing}/beta.csv"],
+    ["selftest", "--profile", "default", "--out-dir", "{file}/sub"],
+], ids=["plot", "line", "selftest"])
+def test_unwritable_output_exits_two(argv, tmp_path, capsys):
+    # a missing directory (or a file where one is needed) is reported, not
+    # a traceback; selftest checks its directory before any criterion runs
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    rc = main([a.format(**paths) for a in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -246,3 +246,11 @@ def test_g_ok_points_match_mpmath_push_out(lam):
     for z, v in zip(w[status == OK], values[status == OK]):
         ref = mp_taylor_push_out(lam, z)
         assert abs(v - ref) <= 1e-12 * abs(ref), (lam, z)
+
+
+def test_coefficients_past_170_raise_before_the_recursion():
+    # 171! is not a double, so a_K K! is never finite: K = 10**6 raises at
+    # once instead of after hours of O(K^2) work
+    with pytest.raises(ShortCircuit, match="before K=1000000"):
+        taylor_coefficients(LOG2, 10 ** 6)
+    assert np.all(np.isfinite(taylor_coefficients(LOG2, 170).coefficients))

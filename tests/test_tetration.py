@@ -324,3 +324,12 @@ def test_tet_continuous_on_real_line(profile):
     v, st = tet_grid(get_model(profile=profile), x)
     assert np.all(st == OK)
     assert np.abs(v[2:] - 2 * v[1:-1] + v[:-2]).max() <= 1e-3
+
+
+def test_partial_depth_pair_keeps_the_given_value():
+    # only the missing value comes from the named profile
+    assert tetration._depths("default", 25, None) == (25, 5)
+    assert tetration._depths("high", None, 5) == (100, 5)
+    assert tetration._depths("high", None, None) == (100, 20)
+    model = get_model(n=25)
+    assert (model.n, model.k) == (25, 5)
