@@ -7,8 +7,9 @@ The beta kernel steps
     f <- e^f / (1 + e^{x_j}),   x_j = rate (j - s),   from f = 0,
 
 where the rate is lambda for the fixed family and 1/sqrt(1 + s) for the
-variable one.  The w-coordinate kernel steps f <- w e^f / (e^{lambda j} + w),
-the same map under w = e^{lambda s}; g_eval runs it from its Taylor value.
+variable one.  The w-coordinate kernel, g_comp_grid, steps
+f <- w e^f / (e^{lambda j} + w), the same map under w = e^{lambda s};
+beta.g_grid runs it from each point's Taylor value.
 Both can return the iterates of the last few levels as rows: for fixed
 lambda those are the pullback stack beta(s + m), one run for all rows.
 

@@ -196,7 +196,7 @@ def _g_points(lam, w, reciprocal=False):
     elam, thresh = cmath.exp(series.lam), _TAYLOR_FRACTION * series.radius
     wi, pulls = np.where(status == OK, w, 0), np.zeros(w.shape, int)
     out = np.flatnonzero(np.abs(wi) > thresh)
-    while out.size and pulls[out[0]] < _MAX_PULL_STEPS:    # every point in out has as many pulls
+    while out.size and pulls[out[0]] < _MAX_PULL_STEPS:    # all points in out pulled alike
         wi[out] /= elam
         pulls[out] += 1
         out = out[np.abs(wi[out]) > thresh]

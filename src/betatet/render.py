@@ -13,7 +13,8 @@ mid-gray (128, 128, 128); |v| = 0 renders black.  Pixels are sampled at
 cell centers, row-major, top row at the maximum imaginary part.
 
 Renders, real-line exports and the CLI's eval (a grid of one) all evaluate
-through _evaluate_fn, and check_lam holds its lambda rule.
+through _evaluate_fn, and check_lam holds its lambda rule.  g and f come
+from beta.g_grid and beta.f_grid and take no depth.
 """
 
 from dataclasses import dataclass, field
