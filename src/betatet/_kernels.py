@@ -44,11 +44,6 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def _as_c128(a):
-    arr = np.asarray(a, dtype=np.complex128)
-    return np.atleast_1d(arr)
-
-
 def _compose(level, depth, f, *inputs, rows=None):
     """Run f <- level(j, f, *inputs) for j = depth, ..., 1; returns (values, status).
 
@@ -167,7 +162,7 @@ def _beta_level(j, f, s, rate):
 def _beta(s, lam, depth, rows=None):
     """Beta recursion over an array of s; lam=None selects the variable rate
     (1/0 at s = -1, so that point is nonfinite)."""
-    s = _as_c128(s)
+    s = np.asarray(s, np.complex128)
     with np.errstate(all="ignore"):
         rate = 1.0 / np.sqrt(1.0 + s) if lam is None else np.full(s.shape, complex(lam))
     return _compose(_beta_level, depth, np.zeros(s.shape, np.complex128), s, rate, rows=rows)
@@ -194,7 +189,7 @@ def beta_variable_grid(s, depth):
 def g_comp_grid(w, lam, depth, f=None, rows=None):
     """Depth-n w-coordinate composition f <- w e^f/(e^{lambda j} + w) over an
     array of w, from f (default 0); rows as in beta_fixed_grid."""
-    w = _as_c128(w)
+    w = np.asarray(w, np.complex128)
     lam = complex(lam)
 
     def level(j, f, w):

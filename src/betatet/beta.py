@@ -16,6 +16,7 @@ one.  The "variable" mode replaces the exponent by (j - s)/sqrt(1 + s)
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,9 +40,8 @@ class BetaParams:
             if self.lam != VARIABLE:
                 raise ValueError(f"lam must be a complex number or {VARIABLE!r}")
         else:
-            object.__setattr__(self, "lam", complex(self.lam))
-            if self.lam.real <= 0:
-                raise ValueError("fixed lambda requires Re(lambda) > 0")
+            object.__setattr__(self, "lam", _fixed_lam(self.lam))
+        object.__setattr__(self, "depth", _integer(self.depth, "depth"))
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
 
@@ -50,17 +50,35 @@ class BetaParams:
         return isinstance(self.lam, str)
 
 
+def _fixed_lam(lam):
+    """lam as a complex number; ValueError unless it is finite with Re(lambda) > 0."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+    if lam.real <= 0:
+        raise ValueError("fixed lambda requires Re(lambda) > 0")
+    return lam
+
+
+def _integer(value, name):
+    """value as an int (numpy integers pass); ValueError for a non-integral value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 # ---------------------------------------------------------------- evaluators
 
 def beta_eval(params, s):
     """Depth-n truncation at one point: beta_grid of one, raising on a failure status."""
     values, status = beta_grid(params, complex(s))
-    raise_for_status(status[0], "beta evaluation")
-    return complex(values[0])
+    raise_for_status(status, "beta evaluation")
+    return complex(values)
 
 
 def beta_grid(params, s):
-    """Vectorized depth-n evaluation; returns (values, status) arrays."""
+    """Vectorized depth-n evaluation; returns (values, status) with the input shape."""
     if params.is_variable:
         return _kernels.beta_variable_grid(s, params.depth)
     return _kernels.beta_fixed_grid(s, params.lam, params.depth)
@@ -94,9 +112,7 @@ def taylor_coefficients(lam, K):
     at the end and flags overflow.  From K = 171 on, K! itself is not a
     double, so such K raise ShortCircuit before the induction runs.
     """
-    lam = complex(lam)
-    if lam.real <= 0:
-        raise ValueError("requires Re(lambda) > 0")
+    lam = _fixed_lam(lam)
     if K < 0:
         raise ValueError("K must be >= 0")
     if K > 170:     # 171! is not a double, so a_K K! cannot be finite
@@ -173,13 +189,13 @@ def f_eval(lam, w):
 
 
 def _g_one(lam, w, reciprocal):
-    values, status, cond = _g_points(lam, np.array([complex(w)]), reciprocal)
-    value, name = complex(values[0]), "f" if reciprocal else "g"
-    if cond[0] > _PUSH_COND_MAX:
-        raise ShortCircuit(f"{name}({w}) push-out is ill-conditioned (estimate {cond[0]:.3g})")
-    if status[0] == SHORT_CIRCUIT and cmath.isfinite(value):
+    values, status, cond = _g_points(lam, complex(w), reciprocal)
+    value, name = complex(values), "f" if reciprocal else "g"
+    if cond > _PUSH_COND_MAX:
+        raise ShortCircuit(f"{name}({w}) push-out is ill-conditioned (estimate {cond:.3g})")
+    if status == SHORT_CIRCUIT and cmath.isfinite(value):
         raise ShortCircuit("push-out exponential exceeds double range", last_value=value)
-    raise_for_status(status[0], f"{name}({w})")
+    raise_for_status(status, f"{name}({w})")
     return value
 
 

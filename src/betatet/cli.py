@@ -11,8 +11,6 @@ import argparse
 import re
 import sys
 
-import numpy as np
-
 from .beta import VARIABLE, taylor_coefficients
 from .errors import BetaTetError, raise_for_status
 from .render import (FUNCTIONS, Overlay, RenderSpec, _evaluate_fn, export_real_line, render_hue,
@@ -72,10 +70,12 @@ def build_parser():
                     help="complex 'a+bi' or the literal 'variable'")
     pe.add_argument("--s", dest="point", type=parse_complex, required=True,
                     help="evaluation point (w-coordinate for g and f)")
-    pe.add_argument("--depth", type=int, default=100)
-    pe.add_argument("--tau-depth", type=int, default=10)
+    pe.add_argument("--depth", type=int, default=None,
+                    help="beta depth n (default 100; for tet, the --profile value)")
+    pe.add_argument("--tau-depth", type=int, default=None,
+                    help="tau depth k (default 10; for tet, the --profile value)")
     pe.add_argument("--profile", choices=PROFILES, default="default",
-                    help="tet calibration profile")
+                    help="tet calibration profile; --depth or --tau-depth replaces its half")
 
     pt = _permissive(sub.add_parser("taylor", help="print Taylor derivatives a_k of g"))
     pt.add_argument("--lambda", dest="lam", type=parse_complex, required=True)
@@ -116,10 +116,12 @@ def build_parser():
 
 def _cmd_eval(args):
     fn, z = args.fn, args.point
-    depth, tau_depth = PROFILES[args.profile] if fn == "tet" else (args.depth, args.tau_depth)
-    values, status = _evaluate_fn(fn, args.lam, depth, tau_depth, None, np.array([z]))
-    raise_for_status(status[0], f"{fn} at s={z}")
-    print(format_complex(values[0]))
+    n, k = PROFILES[args.profile] if fn == "tet" else (100, 10)
+    depth = n if args.depth is None else args.depth
+    tau_depth = k if args.tau_depth is None else args.tau_depth
+    values, status = _evaluate_fn(fn, args.lam, depth, tau_depth, None, z)
+    raise_for_status(status, f"{fn} at s={z}")
+    print(format_complex(values))
     return 0
 
 

@@ -193,7 +193,7 @@ def export_real_line(fn, lam=None, lo=0.0, hi=1.0, samples=100, depth=100,
     values, status = _evaluate_fn(fn, lam, depth, tau_depth, None,
                                   xs.astype(np.complex128))
     rows = []
-    for x, v, st in zip(xs, np.atleast_1d(values), np.atleast_1d(status)):
+    for x, v, st in zip(xs, values, status):
         code = int(st)
         rows.append((float(x), complex(v) if code == OK else None, STATUS_NAMES[code]))
     return rows

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .beta import _integer
 from .errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, raise_for_status
 
 SCHEMES = ("fixed_n", "variable_lambda")
@@ -71,6 +72,8 @@ class TauConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        object.__setattr__(self, "n", _integer(self.n, "beta depth n"))
+        object.__setattr__(self, "k", _integer(self.k, "tau depth k"))
         if self.n < 1:
             raise ValueError("beta depth n must be >= 1")
         if self.k < 0:
@@ -185,26 +188,26 @@ def _descend(sf, j, mode, lam, B, SB):
 
 def _tau_f_grid(params, config, s):
     """(tau, tau_status, F, F_status) arrays; one descent at the configured k."""
-    arr = np.atleast_1d(np.asarray(s, np.complex128))
+    arr = np.asarray(s, np.complex128)
     sf = arr.ravel()
     out = _descend(sf, config.k, *_stacks(params, config, sf))
     return tuple(x.reshape(arr.shape) for x in out)
 
 
 def tau_grid(params, config, s):
-    """Vectorized tau; returns (values, status)."""
+    """Vectorized tau; returns (values, status) with the input shape."""
     tau, tst, _, _ = _tau_f_grid(params, config, s)
     return tau, tst
 
 
 def F_grid(params, config, s):
-    """Vectorized F = beta + tau; returns (values, status)."""
+    """Vectorized F = beta + tau; returns (values, status) with the input shape."""
     _, _, F, fst = _tau_f_grid(params, config, s)
     return F, fst
 
 
 def F_eval(params, config, s):
-    """F(s) = beta(s) + tau(s) (scalar); raises on any failure status."""
-    _, _, F, fst = _tau_f_grid(params, config, np.array([complex(s)]))
-    raise_for_status(fst[0], "F evaluation")
-    return complex(F[0])
+    """F(s) = beta(s) + tau(s): F_grid of one, raising on a failure status."""
+    F, fst = F_grid(params, config, complex(s))
+    raise_for_status(fst, "F evaluation")
+    return complex(F)

@@ -15,14 +15,16 @@ implemented on the branch reaching the real base interval [0, e]: per-point
 log/exp reductions onto the interval, then Newton iteration seeded from a
 precomputed monotone table.  slog_grid runs Newton on every live target at
 once, with one tet_grid call per step on the stencil [s, s+h, s-h]; points
-that converge or fail leave the batch.  tet_eval, slog_eval and exp_iter
-are grids of one.
+that converge or fail leave the batch.  tet_grid is the one tet evaluator:
+calibration evaluates its slog table with it, and tet_eval, slog_eval and
+exp_iter = tet_eval(s + slog z) are grids called on a 0-d point, since every
+grid returns its input's shape.
 """
 
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -143,34 +145,36 @@ def calibrate(profile="default", n=None, k=None):
     change of F - 1 where F is real, evaluable, and increasing; bisection
     then runs to double-precision width.  The depths are n and k; one left
     as None comes from the named profile, so calibrate(n=25) runs at (25, 5).
+    The slog table is tet_grid of the model on [-1, 1].
     """
     n, k = _depths(profile, n, k)
-    x0 = _bisect(*_bracket(n, k), n, k)
-
+    model = TetModel(x0=_bisect(*_bracket(n, k), n, k), n=n, k=k)
     table_x = np.linspace(-1.0, 1.0, 257)
-    tv, ts = _tet_arrays(table_x, x0, n, k)
+    tv, ts = tet_grid(model, table_x)
     if not np.all(ts == OK):
         raise CalibrationFailed("base-interval table not evaluable")
     table_v = tv.real
     if not np.all(np.diff(table_v) > 0):
         raise CalibrationFailed("tetration not increasing on the base interval")
-    model = TetModel(x0=x0, n=n, k=k, table_x=table_x, table_v=table_v)
+    model = replace(model, table_x=table_x, table_v=table_v)
     anchor = abs(complex(tet_eval(model, 0.0)) - 1.0)
     if anchor > 1e-10:
         raise CalibrationFailed(f"|tet(0) - 1| = {anchor:.3g} after bisection")
     return model
 
 
-def _tet_arrays(Z, x0, n, k):
-    """Step-recursion evaluation over an array; returns (values, status).
+def tet_grid(model, Z):
+    """Step-recursion tetration; returns (values, status) with the input shape.
 
     The cut test runs first, so -inf is branch_cut; any other non-finite s is
     nonfinite.  Step counts stay floats, so no |Re s| overflows them.  One
     loop steps exp right of the strip and log left of it, and ends once no
     point is live: exp stops at the overflow guard, log at the cut or once a
-    step leaves the value unchanged (log's fixed point).
+    step leaves the value unchanged (log's fixed point).  The loop runs on
+    the flattened input, whose masks take item assignment even for one point.
     """
-    Z = np.atleast_1d(np.asarray(Z, np.complex128))
+    Z = np.asarray(Z, np.complex128)
+    shape, Z = Z.shape, Z.ravel()
     status = np.zeros(Z.shape, np.int8)
     # distance to the cut (-inf, -2]
     on_tail = Z.real <= -2.0
@@ -178,10 +182,8 @@ def _tet_arrays(Z, x0, n, k):
     status[dist < _CUT_DIST] = BRANCH_CUT
     status[(status == OK) & ~(np.isfinite(Z.real) & np.isfinite(Z.imag))] = NONFINITE
     steps = np.where(status == OK, np.ceil(Z.real), 0.0)
-    base = Z - steps + x0
-    vals, fst = _f_line(base.ravel(), n, k)
-    vals = vals.reshape(Z.shape)
-    status = np.where(status == OK, fst.reshape(Z.shape), status)
+    vals, fst = _f_line(Z - steps + model.x0, model.n, model.k)
+    status = np.where(status == OK, fst, status)
     with np.errstate(all="ignore"):
         live = (steps != 0) & (status == OK)
         for step in itertools.count(1):
@@ -199,27 +201,16 @@ def _tet_arrays(Z, x0, n, k):
             new = np.log(old)
             vals[down] = new
             live[down] = new != old
-    return vals, status
-
-
-def tet_grid(model, Z):
-    """Vectorized tetration; returns (values, status) with the input shape."""
-    Z = np.asarray(Z, np.complex128)
-    shape = Z.shape if Z.shape else (1,)
-    return _tet_arrays(Z.reshape(shape), model.x0, model.n, model.k)
-
-
-def _raise_for_tet(code, s):
-    if code == BRANCH_CUT:
-        raise BranchCut(f"s={s} within {_CUT_DIST:g} of the cut (-inf, -2]")
-    raise_for_status(code, f"tet({s})")
+    return vals.reshape(shape), status.reshape(shape)
 
 
 def tet_eval(model, s):
     """Scalar tetration: tet_grid of one; raises BranchCut / ShortCircuit on failure."""
     v, st = tet_grid(model, complex(s))
-    _raise_for_tet(int(st[0]), s)
-    return complex(v[0])
+    if st == BRANCH_CUT:
+        raise BranchCut(f"s={s} within {_CUT_DIST:g} of the cut (-inf, -2]")
+    raise_for_status(st, f"tet({s})")
+    return complex(v)
 
 
 _NEWTON_STEPS = 100
@@ -311,10 +302,7 @@ def slog_eval(model, z):
 
 def exp_iter(model, s, z):
     """Fractional iteration exp o^s (z) = tet(s + slog(z))."""
-    w = complex(s) + slog_eval(model, z)
-    v, st = tet_grid(model, w)
-    _raise_for_tet(int(st[0]), w)
-    return complex(v[0])
+    return tet_eval(model, complex(s) + slog_eval(model, z))
 
 
 class ScanResult(NamedTuple):

@@ -45,11 +45,11 @@ def test_criterion_06_tet_anchors(results):
     _check(results, 6)
 
 
-def test_criterion_07_tet_functional_equation(results):
+def test_criterion_07_strip_boundary(results):
     _check(results, 7)
 
 
-def test_criterion_08_conjugate_symmetry(results):
+def test_criterion_08_cauchy_riemann_share(results):
     _check(results, 8)
 
 

@@ -171,3 +171,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         BetaParams(lam="wiggly", depth=10)
     assert BetaParams(lam="variable", depth=10).is_variable
+    # a non-finite lambda, or a depth 2.5 that used to run as depth 2
+    for lam, depth in ((math.inf, 10), (math.nan, 10), (complex(1, math.inf), 10),
+                       (LOG2, 2.5), ("variable", 2.5)):
+        with pytest.raises(ValueError):
+            BetaParams(lam=lam, depth=depth)
+    assert BetaParams(lam=LOG2, depth=np.int64(7)) == BetaParams(lam=LOG2, depth=7)

@@ -193,3 +193,33 @@ def test_unwritable_output_exits_two(argv, tmp_path, capsys):
     rc = main([a.format(**paths) for a in argv])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_tet_depth_flags_replace_the_profile_half(capsys):
+    from betatet.tetration import get_model, tet_eval
+
+    def run(*argv):
+        assert main(["eval", "tet", "--s", "0.5+0.5i", *argv]) == 0
+        return capsys.readouterr().out
+
+    assert run("--depth", "100", "--tau-depth", "20") == run("--profile", "high")
+    assert parse_complex(run("--depth", "25")) == tet_eval(get_model(n=25, k=5), 0.5 + 0.5j)
+    # without the flags the --profile pair stays: (8, 5) and (100, 10) differ here
+    assert parse_complex(run()) == tet_eval(get_model(n=8, k=5), 0.5 + 0.5j)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "g", "--lambda", "inf", "--s", "0.5"],
+    ["eval", "f", "--lambda", "inf", "--s", "5"],
+    ["eval", "beta", "--lambda", "nan", "--s", "0.5"],
+    ["eval", "F", "--lambda", "nan", "--s", "0.5"],
+    ["taylor", "--lambda", "inf", "--terms", "3"],
+    ["taylor", "--lambda", "nan", "--terms", "3"],
+    ["plot", "--fn", "g", "--lambda", "inf", "--window", "-1,1,-1,1", "--res", "4x4",
+     "--out", "{tmp}/g.ppm"],
+], ids=["eval-g", "eval-f", "eval-beta", "eval-F", "taylor-inf", "taylor-nan", "plot-g"])
+def test_nonfinite_lambda_exits_two(argv, tmp_path, capsys):
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == 2
+    assert "lambda must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "g.ppm").exists()

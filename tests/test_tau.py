@@ -272,3 +272,8 @@ def test_config_validation():
         TauConfig(n=10, k=-1)
     with pytest.raises(ValueError):
         TauConfig(n=10, k=1, scheme="mystery")
+    # k = 2.5 used to reach the descent and raise IndexError there
+    for n, k in ((25, 2.5), (2.5, 2), (25.0, 5)):
+        with pytest.raises(ValueError, match="integer"):
+            TauConfig(n=n, k=k)
+    assert TauConfig(n=np.int32(25), k=np.int64(5)) == TauConfig(n=25, k=5)

@@ -70,6 +70,12 @@ def test_validation():
         taylor_coefficients(-0.5, 4)
     with pytest.raises(ValueError):
         taylor_coefficients(LOG2, -1)
+    # inf used to give zero coefficients, and nan a misleading overflow signal
+    for lam in (math.inf, math.nan, complex(1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            taylor_coefficients(lam, 3)
+        with pytest.raises(ValueError, match="finite"):
+            g_grid(lam, np.array([0.5]))
 
 
 def test_g_at_zero():

@@ -17,7 +17,10 @@ from betatet import (
     tet_eval,
     tet_grid,
 )
+from betatet.acceptance import cauchy_riemann_ok, crit_strip_boundary
+from betatet.beta import beta_grid, f_grid, g_grid
 from betatet.errors import _STATUS_EXC, OK, BRANCH_CUT, DOMAIN, NONFINITE, SHORT_CIRCUIT
+from betatet.tau import F_grid, tau_grid
 
 
 def test_too_shallow_profile_fails_calibration():
@@ -255,6 +258,30 @@ def test_slog_grid_preserves_shape(high_model):
     assert abs(v[0, 1]) < 1e-8 and abs(v[0, 2] - 1.0) < 1e-8
 
 
+_GRIDS = {
+    "beta_grid": lambda m, z: beta_grid(m.params, z),
+    "tau_grid": lambda m, z: tau_grid(m.params, m.config, z),
+    "F_grid": lambda m, z: F_grid(m.params, m.config, z),
+    "tet_grid": tet_grid,
+    "slog_grid": slog_grid,
+    "g_grid": lambda m, z: g_grid(math.log(2.0), z),
+    "f_grid": lambda m, z: f_grid(math.log(2.0), z),
+}
+
+
+@pytest.mark.parametrize("name", _GRIDS)
+def test_grid_keeps_input_shape(default_model, name):
+    # scalar = grid of one: a 0-d input gives 0-d results, bitwise the flat call's
+    grid = _GRIDS[name]
+    flat = np.array([0.5, 1.3 + 0.4j, 2.0, -0.7 + 0.2j, 0.0, 1.9])
+    ref_v, ref_s = grid(default_model, flat)
+    for Z in (flat[0], flat[:3], flat.reshape(2, 3)):
+        v, st = grid(default_model, Z)
+        assert v.shape == st.shape == np.shape(Z)
+        assert v.tobytes() == ref_v[:v.size].tobytes()
+        assert st.tobytes() == ref_s[:st.size].tobytes()
+
+
 def _newton_reference(model, target):
     """Scalar Newton on tet_eval; returns (s, iterations)."""
     s = float(np.interp(target, model.table_v, model.table_x))
@@ -299,15 +326,65 @@ def test_slog_grid_one_tet_grid_call_per_newton_step(high_model, monkeypatch):
 def test_tet_cauchy_riemann_on_criterion_9_box(profile):
     # holomorphy gate: every point of the 36 x 20 grid over [-1.5,2] x [0.1,2] has an
     # OK stencil and |f_y - i f_x| <= 1e-3 max(1, |f_x|), with perfbench's cr_ok_frac step
-    Z = (np.linspace(-1.5, 2.0, 36)[None, :] + 1j * np.linspace(0.1, 2.0, 20)[:, None]).ravel()
-    h = 1e-5
-    (vx, sx), (vmx, smx), (vy, sy), (vmy, smy) = (
-        tet_grid(get_model(profile=profile), Z + d) for d in (h, -h, 1j * h, -1j * h))
-    with np.errstate(all="ignore"):
-        fx, fy = (vx - vmx) / (2 * h), (vy - vmy) / (2 * h)
-        cr = np.abs(fy - 1j * fx) <= 1e-3 * np.maximum(1.0, np.abs(fx))
-    ok = (sx == OK) & (smx == OK) & (sy == OK) & (smy == OK)
-    assert np.mean(ok & cr) == 1.0
+    assert cauchy_riemann_ok(get_model(profile=profile)).all()
+
+
+def _model(profile):
+    return get_model(n=25) if profile == "25-5" else get_model(profile=profile)
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param("default", marks=pytest.mark.xfail(
+        strict=True, reason="defect 2.71; 37 of 37 OK points are above 1e-6")),
+    pytest.param("25-5", marks=pytest.mark.xfail(
+        strict=True, reason="defect 1.98; 33 of 35 OK points are above 1e-6")),
+    "high",
+])
+def test_tet_continuous_across_the_strip_boundary(profile):
+    # off-axis continuity of tet across Re s = 0: F(s+1) = e^{F(s)} at s = x0 - 1 + iy
+    passed, detail = crit_strip_boundary(_model(profile))
+    assert passed, detail
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param("default", marks=pytest.mark.xfail(
+        strict=True, reason="2 of 39 points fail at y = 1e-3 and 12 at y = 1e-2; worst 1.45")),
+    pytest.param("25-5", marks=pytest.mark.xfail(
+        strict=True, reason="2 of 39 points fail at y = 1e-3 and 12 at y = 1e-2; worst 1.76")),
+    pytest.param("high", marks=pytest.mark.xfail(
+        strict=True, reason="6 of 39 points fail at y = 1e-3 and 18 at y = 1e-2; "
+        "worst 1.28e3 at x = -0.5")),
+])
+def test_tet_near_axis_matches_real_derivative(profile):
+    # a tet holomorphic next to the axis has Im tet(x + iy)/y -> tet'(x); at y = 1e-4
+    # every profile passes (at most 6.6e-9), which neither the CR box nor the
+    # real-line gate reaches below
+    model = _model(profile)
+    x, h = np.linspace(-0.9, 1.0, 39), 1e-6
+    (vp, sp), (vm, sm) = tet_grid(model, x + h), tet_grid(model, x - h)
+    assert np.all(sp == OK) and np.all(sm == OK)
+    dx = (vp.real - vm.real) / (2 * h)
+    for y in (1e-3, 1e-2):
+        v, st = tet_grid(model, x + 1j * y)
+        assert np.all(st == OK)
+        assert np.all(np.abs(v.imag / y - dx) <= 1e-3 * np.maximum(1.0, np.abs(dx)))
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param("default", marks=pytest.mark.xfail(
+        strict=True, reason="16 no_convergence targets: 0.64-0.68 and 1.88-1.98")),
+    pytest.param("high", marks=pytest.mark.xfail(
+        strict=True, reason="2 no_convergence targets: 1.88 and 1.89")),
+])
+def test_slog_dense_round_trip(profile):
+    # the OK targets round-trip to at most 2.3e-12 at both profiles
+    model = get_model(profile=profile)
+    t = np.linspace(0.0, 2.7, 271)
+    s, st = slog_grid(model, t)
+    assert np.all(st == OK)
+    v, vst = tet_grid(model, s)
+    assert np.all(vst == OK)
+    assert np.abs(v - t).max() <= 1e-10
 
 
 @pytest.mark.parametrize("profile", [
