@@ -12,6 +12,11 @@ f <- w e^f / (e^{lambda j} + w), the same map under w = e^{lambda s};
 beta.g_grid runs it from each point's Taylor value.
 Both can return the iterates of the last few levels as rows: for fixed
 lambda those are the pullback stack beta(s + m), one run for all rows.
+A beta point whose s and rate both have imaginary part exactly 0 (real
+s > -1 in variable mode, real s with a real lambda in fixed mode) runs the
+same level loop in float64, and every other point in complex128.  Each chunk
+picks the route per point, so neither the route nor a point's bits depend
+on the batch; float64 results come back as complex128.
 
 `_compose` applies the same guards to each point, in this order: singular
 denominator, then overflow guard, then non-finite update.  A point stops at
@@ -44,24 +49,25 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def _compose(level, depth, f, *inputs, rows=None):
+def _compose(level, depth, f, *inputs, rows=None, real=None):
     """Run f <- level(j, f, *inputs) for j = depth, ..., 1; returns (values, status).
 
     With rows, values and status gain a leading axis of that length: row m
     holds the iterate after level rows - m, so the last row is the result.
     A batch of at least SPLIT_MIN points per CPU runs as contiguous chunks,
     one per CPU, through `_levels`; the chunks' results are joined along
-    the point axis.
+    the point axis.  real marks the points `_levels` runs in float64.
     """
     shape = f.shape if rows is None else (rows, *f.shape)
     count = 1 if rows is None else rows
     f = f.ravel()
     inputs = [a.ravel() for a in inputs]
+    real = None if real is None else real.ravel()
     chunks = max(1, min(_CPUS, f.size // SPLIT_MIN))
-    cuts = [f.size * c // chunks for c in range(chunks + 1)]
+    cuts = [slice(f.size * c // chunks, f.size * (c + 1) // chunks) for c in range(chunks)]
     parts = _in_threads(lambda c: _levels(
-        level, depth, count, f[cuts[c]:cuts[c + 1]],
-        [a[cuts[c]:cuts[c + 1]] for a in inputs]), chunks)
+        level, depth, count, f[cuts[c]], [a[cuts[c]] for a in inputs],
+        None if real is None else real[cuts[c]]), chunks)
     values = np.concatenate([v for v, _ in parts], axis=-1)
     status = np.concatenate([st for _, st in parts], axis=-1)
     return values.reshape(shape), status.reshape(shape)
@@ -105,12 +111,15 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _levels(level, depth, count, f, inputs):
+def _levels(level, depth, count, f, inputs, real=None):
     """The level loop of `_compose` on flat arrays; values and status are (count, N).
 
     Each point runs alone: no step reduces across points, so a chunk gives
     the bits the whole batch would.  A point that stops fills the rows not
     yet written with its kept iterate and stop status.
+
+    The points that real marks run on the real parts of f and the inputs, in
+    float64, the others in complex128; a chunk of one kind runs the loop once.
 
     level returns the update and its singular mask.  Points that stop are
     compacted away each level together with their inputs, which stay named
@@ -121,6 +130,15 @@ def _levels(level, depth, count, f, inputs):
     operand on the left, so its bits do not depend on the batch size.
     numpy's errstate is per thread, so it is set here.
     """
+    if real is not None and real.all():
+        values, status = _levels(level, depth, count, f.real, [a.real for a in inputs])
+        return values.astype(f.dtype), status
+    if real is not None and real.any():
+        values, status = np.empty((count, f.size), f.dtype), np.empty((count, f.size), np.int8)
+        for part in (real, ~real):
+            values[:, part], status[:, part] = _levels(
+                level, depth, count, f[part], [a[part] for a in inputs], real[part])
+        return values, status
     values = np.repeat(f.reshape(1, -1), count, axis=0)
     status = np.zeros(values.shape, np.int8)
     finite = np.logical_and.reduce([np.isfinite(a) for a in inputs])
@@ -165,7 +183,8 @@ def _beta(s, lam, depth, rows=None):
     s = np.asarray(s, np.complex128)
     with np.errstate(all="ignore"):
         rate = 1.0 / np.sqrt(1.0 + s) if lam is None else np.full(s.shape, complex(lam))
-    return _compose(_beta_level, depth, np.zeros(s.shape, np.complex128), s, rate, rows=rows)
+    return _compose(_beta_level, depth, np.zeros(s.shape, np.complex128), s, rate, rows=rows,
+                    real=(s.imag == 0) & (rate.imag == 0))
 
 
 def beta_fixed_grid(s, lam, depth, rows=None):

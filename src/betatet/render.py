@@ -92,11 +92,14 @@ def pixel_grid(spec):
 
 
 def check_lam(fn, lam):
-    """The fn/lambda rule: beta and F need a lambda, g and f a fixed one."""
+    """The fn/lambda rule: beta and F need a lambda, g and f a fixed one, and
+    tet and slog, which are variable-family only, take none or 'variable'."""
     if fn in ("beta", "F") and lam is None:
         raise ValueError(f"{fn} requires a lambda (a complex number or {VARIABLE!r})")
     if fn in ("g", "f") and (lam is None or lam == VARIABLE):
         raise ValueError(f"{fn} requires a fixed lambda")
+    if fn in ("tet", "slog") and not (lam is None or lam == VARIABLE):
+        raise ValueError(f"{fn} takes no fixed lambda (omit it or use {VARIABLE!r})")
 
 
 def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):

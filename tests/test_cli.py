@@ -105,6 +105,29 @@ def test_line_missing_lambda_exit_code(argv, tmp_path, capsys):
     assert not (tmp_path / "line.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "tet", "--s", "0.5", "--lambda", "2"],
+    ["plot", "--fn", "tet", "--lambda", "5", "--window", "-1,1,-1,1", "--res", "4x4"],
+    ["line", "--fn", "slog", "--lambda", "0.3", "--from", "0", "--to", "1", "--samples", "3"],
+    ["line", "--fn", "tet", "--lambda", "0.5+3i", "--from", "0", "--to", "1", "--samples", "3"],
+], ids=["eval-tet", "plot-tet", "line-slog", "line-tet"])
+def test_tet_and_slog_reject_a_fixed_lambda(argv, tmp_path, capsys):
+    # tet and slog exist only for the variable family; a fixed lambda used to
+    # be ignored, and the variable result came back with exit 0
+    out = tmp_path / "out"
+    rc = main(argv + ([] if argv[0] == "eval" else ["--out", str(out)]))
+    assert rc == 2
+    assert "lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tet_accepts_the_variable_lambda(capsys):
+    assert main(["eval", "tet", "--s", "0.5", "--lambda", "variable"]) == 0
+    with_lam = capsys.readouterr().out
+    assert main(["eval", "tet", "--s", "0.5"]) == 0
+    assert capsys.readouterr().out == with_lam
+
+
 def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "beta", "--definitely-not-a-flag"])

@@ -128,6 +128,14 @@ def test_render_spec_validation():
         RenderSpec(window=(-1, 1, -1, 1), resolution=(8, 8), fn="g", lam="variable")
 
 
+def test_render_spec_rejects_a_fixed_lambda_for_tet():
+    for lam in (LOG2, 0.5 + 3j):
+        with pytest.raises(ValueError, match="lambda"):
+            RenderSpec(window=(-1, 1, -1, 1), resolution=(8, 8), fn="tet", lam=lam)
+    for lam in (None, "variable"):
+        RenderSpec(window=(-1, 1, -1, 1), resolution=(8, 8), fn="tet", lam=lam)
+
+
 def test_export_beta_real_line():
     rows = export_real_line("beta", lam=LOG2, lo=-10, hi=4, samples=141, depth=100)
     assert len(rows) == 141
