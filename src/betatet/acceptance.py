@@ -189,8 +189,10 @@ def crit_bijection(model):
     for x in np.linspace(-1.5, 2.5, 17):
         tx = tet_eval(model, x).real
         worst = max(worst, abs(slog_eval(model, tx).real - x))
-    passed = scan.all_positive and worst < 1e-6
-    return passed, (f"derivative positive on [-1.9,3] (min {scan.min_derivative:.3g}); "
+    stop = scan.truncated_at
+    passed = scan.all_positive and stop is None and worst < 1e-6
+    where = "[-1.9,3]" if stop is None else f"[-1.9,{stop:g}), where the scan stopped"
+    return passed, (f"derivative positive on {where} (min {scan.min_derivative:.3g}); "
                     f"round-trip worst {worst:.1e} < 1e-6")
 
 

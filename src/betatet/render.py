@@ -154,15 +154,22 @@ def colorize(values, status):
     return out
 
 
+def _line_cells(lo, hi, count):
+    """Index from lo of each of count equal cells over [lo, hi] holding an integer in (lo, hi)."""
+    n = np.arange(np.floor(lo) + 1, np.ceil(hi))
+    return np.minimum(((n - lo) * count / (hi - lo)).astype(int), count - 1)
+
+
 def _apply_overlay(spec, Z, img):
     re_min, re_max, im_min, im_max = spec.window
     w, h = spec.resolution
     px = max((re_max - re_min) / w, (im_max - im_min) / h)
     ov = spec.overlay
     if ov.grid_lines:
-        near_re = np.abs(Z.real - np.round(Z.real)) < 0.5 * px
-        near_im = np.abs(Z.imag - np.round(Z.imag)) < 0.5 * px
-        img[near_re | near_im] = (img[near_re | near_im] * 0.55).astype(np.uint8)
+        line = np.zeros((h, w), bool)
+        line[:, _line_cells(re_min, re_max, w)] = True
+        line[_line_cells(-im_max, -im_min, h), :] = True
+        img[line] = (img[line] * 0.55).astype(np.uint8)
     if ov.unit_disk:
         ring = np.abs(np.abs(Z) - 1.0) < 0.75 * px
         img[ring] = (255, 255, 255)

@@ -11,17 +11,17 @@ base strip Re(s) in (-1, 0]:
 
 so tet(0) = 1, tet(1) = e, tet(-1) = 0 hold to calibration accuracy and
 tet(s+1) = e^{tet(s)} holds exactly by construction.  The inverse slog is
-implemented on the branch reaching the real base interval [0, e]: per-point
-log/exp reductions onto the interval, then Newton iteration seeded from a
-precomputed monotone table.  slog_grid runs Newton on every live target at
-once, with one tet_grid call per step on the stencil [s, s+h, s-h]; points
-that converge or fail leave the batch.  tet_grid is the one tet evaluator:
+implemented on the branch reaching the real base interval [0, e]: masked
+log/exp steps reduce the whole input onto the interval, then Newton runs on
+every live target at once from a precomputed monotone table, with one
+tet_grid call per step on the stencil [s, s+h, s-h].  Points that converge
+or fail leave the batch; a step that does not halve a residual fails its
+target, so Newton needs no step budget.  tet_grid is the one tet evaluator:
 calibration evaluates its slog table with it, and tet_eval, slog_eval and
 exp_iter = tet_eval(s + slog z) are grids called on a 0-d point, since every
 grid returns its input's shape.
 """
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -213,64 +213,48 @@ def tet_eval(model, s):
     return complex(v)
 
 
-_NEWTON_STEPS = 100
 _NEWTON_H = 1e-6
 _REDUCE_MAX = 64
 
 
-def _reduce(z):
-    """exp/log steps onto the real base interval [0, e]: (target, shift) or None."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        return None
-    shift = 0
-    for _ in range(_REDUCE_MAX):
-        if abs(z.imag) < 1e-12 and 0.0 <= z.real <= _E + 1e-12:
-            return z.real, shift
-        if abs(z) > _E:
-            z = cmath.log(z)
-            shift += 1
-        elif abs(z.imag) < 1e-12 and z.real < 0.0:
-            z = cmath.exp(z)
-            shift -= 1
-        else:
-            return None
-    return None
+def _in_interval(z):
+    return (np.abs(z.imag) < 1e-12) & (0.0 <= z.real) & (z.real <= _E + 1e-12)
 
 
 def slog_grid(model, Z):
     """Inverse of tet on the branch through the real base interval [0, e].
 
-    Reductions: slog(z) = slog(log z) + 1 for |z| > e and
-    slog(z) = slog(e^z) - 1 for real z below the interval; a point that does
-    not reach the interval gets DOMAIN.  Inside, Newton iteration on tet is
-    seeded from the calibration table and runs on all live targets at once:
-    each step makes one tet_grid call on [s, s+h, s-h].  A failure status at
-    a Newton point is carried through; a flat or non-finite derivative, or
-    an exhausted step budget, gets NO_CONVERGENCE.  Returns (values, status)
-    with the input shape.
+    Reductions run as masked steps over the whole input: slog(z) = slog(log z)
+    + 1 for |z| > e and slog(z) = slog(e^z) - 1 for real z below the interval;
+    a point not on the interval after 64 steps gets DOMAIN.  Inside, Newton
+    iteration on tet is seeded from the calibration table and runs on all
+    live targets at once, one tet_grid call on [s, s+h, s-h] per step.  A
+    failure status at a Newton point is carried through; a flat or non-finite
+    derivative, or a residual above half the previous one, gets
+    NO_CONVERGENCE.  Returns (values, status) with the input shape.
     """
     Z = np.asarray(Z, np.complex128)
-    flat = Z.ravel()
-    values = np.full(flat.shape, np.nan, np.complex128)
-    status = np.full(flat.shape, DOMAIN, np.int8)
-    idx, target, shift = [], [], []
-    for i, z in enumerate(flat.tolist()):
-        reduced = _reduce(z)
-        if reduced is not None:
-            idx.append(i)
-            target.append(reduced[0])
-            shift.append(reduced[1])
-    idx = np.array(idx, np.intp)
-    target = np.array(target, np.float64)
-    shift = np.array(shift, np.int64)
+    z, shift = Z.ravel(), np.zeros(Z.size, np.int64)
+    live = np.isfinite(z.real) & np.isfinite(z.imag)
+    with np.errstate(all="ignore"):
+        for _ in range(_REDUCE_MAX):
+            live &= ~_in_interval(z)
+            up = live & (np.abs(z) > _E)
+            down = live & ~up & (np.abs(z.imag) < 1e-12) & (z.real < 0.0)
+            live = up | down
+            if not live.any():
+                break
+            z = np.where(up, np.log(z), np.where(down, np.exp(z), z))
+            shift = shift + up - down
+    idx = np.flatnonzero(_in_interval(z) & ~live)
+    values = np.full(z.shape, np.nan, np.complex128)
+    status = np.full(z.shape, DOMAIN, np.int8)
+    target, shift, last = z.real[idx], shift[idx], np.full(idx.shape, np.inf)
     tol = 1e-12 * np.maximum(1.0, np.abs(target))
     sg = np.interp(target, model.table_v, model.table_x)
-    status[idx] = NO_CONVERGENCE        # kept by targets still live when the budget ends
     with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            m = idx.size
-            if not m:
-                break
+        # halving from |err| <= e reaches any tol >= 1e-12 within 42 steps: no budget
+        while m := idx.size:
             v, st = tet_grid(model, np.concatenate([sg, sg + _NEWTON_H, sg - _NEWTON_H]))
             v = v.real
             err = v[:m] - target
@@ -283,12 +267,13 @@ def slog_grid(model, Z):
                 code[bad] = stencil[bad]
                 live &= ~bad
             d = (v[m:2 * m] - v[2 * m:]) / (2 * _NEWTON_H)
-            flat_d = live & ((d == 0.0) | ~np.isfinite(d))
-            code[flat_d] = NO_CONVERGENCE
-            live &= ~flat_d
+            stuck = live & ((d == 0.0) | ~np.isfinite(d) | (np.abs(err) > 0.5 * last))
+            code[stuck] = NO_CONVERGENCE
+            live &= ~stuck
             status[idx[~live]] = code[~live]
             sg = sg[live] - err[live] / d[live]
-            idx, target, shift, tol = idx[live], target[live], shift[live], tol[live]
+            idx, target, shift, tol, last = (
+                idx[live], target[live], shift[live], tol[live], np.abs(err[live]))
     return values.reshape(Z.shape), status.reshape(Z.shape)
 
 

@@ -246,3 +246,22 @@ def test_nonfinite_lambda_exits_two(argv, tmp_path, capsys):
     assert rc == 2
     assert "lambda must be finite" in capsys.readouterr().err
     assert not (tmp_path / "g.ppm").exists()
+
+
+@pytest.mark.parametrize("window,res", [("1,2,3", "4x4"), ("-1,1,-1,1", "80")])
+def test_plot_malformed_window_or_resolution_exits_two(window, res, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", "--fn", "f", "--lambda", "0.5", "--window", window, "--res", res,
+              "--out", str(tmp_path / "x.ppm")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("passed,code", [([True, True], 0), ([True, False], 1)])
+def test_selftest_exit_code_follows_the_criteria(passed, code, monkeypatch):
+    import betatet.acceptance as acceptance
+
+    def fake_run_all(profile, out_dir):
+        return [acceptance.CriterionResult(i, "stub", p, "", 0.0) for i, p in enumerate(passed)]
+
+    monkeypatch.setattr(acceptance, "run_all", fake_run_all)
+    assert main(["selftest"]) == code

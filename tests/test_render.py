@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betatet import Overlay, RenderSpec, export_real_line, render_hue, singular_lattice
-from betatet.render import GRAY, colorize, pixel_grid, write_csv
+from betatet.render import GRAY, _apply_overlay, colorize, pixel_grid, write_csv
 
 LOG2 = math.log(2.0)
 
@@ -177,3 +177,51 @@ def test_export_failures_are_marker_rows(tmp_path, high_model):
 def test_export_validates_samples():
     with pytest.raises(ValueError):
         export_real_line("g", lam=LOG2, lo=0, hi=1, samples=1)
+
+
+def _overlaid(resolution, window, **overlay):
+    spec = RenderSpec(window=window, resolution=resolution, fn="f", lam=LOG2,
+                      overlay=Overlay(**overlay))
+    w, h = resolution
+    plain = np.full((h, w, 3), 200, np.uint8)
+    return spec, (_apply_overlay(spec, pixel_grid(spec), plain.copy()) != plain).any(-1)
+
+
+@pytest.mark.parametrize("resolution,window,cells", [
+    ((64, 64), (-2, 2, -2, 2), [16, 32, 48]),
+    ((65, 65), (-2, 2, -2, 2), [16, 32, 48]),
+    ((800, 800), (-1, 1, -1, 1), [400]),
+])
+def test_grid_lines_are_one_pixel_per_integer(resolution, window, cells):
+    # the column (row) whose cell holds each integer inside the window; a pixel
+    # centre half a pixel from an integer used to mark no line or two
+    _, changed = _overlaid(resolution, window, grid_lines=True)
+    expected = np.zeros_like(changed)
+    expected[:, cells] = expected[cells, :] = True
+    assert np.array_equal(changed, expected)
+
+
+def test_grid_line_just_inside_the_right_edge():
+    # (1 + 5.1) * 64 / (nextafter(1) + 5.1) rounds to 64: the line takes the last column
+    _, changed = _overlaid((64, 64), (-5.1, np.nextafter(1.0, 2.0), -1, 1), grid_lines=True)
+    assert changed[:, 63].all()
+
+
+def test_origin_marker_changes_pixels_near_zero_only():
+    spec, changed = _overlaid((64, 48), (-2, 2, -1.5, 1.5), origin_marker=True)
+    Z = pixel_grid(spec)
+    px = 4 / 64
+    assert changed.any()
+    assert np.all((np.abs(Z.real) < 4 * px) & (np.abs(Z.imag) < 4 * px) | ~changed)
+
+
+@pytest.mark.parametrize("depth,tau_depth", [(0, 5), (25, -1)])
+def test_render_spec_rejects_invalid_depths(depth, tau_depth):
+    with pytest.raises(ValueError, match="invalid depth profile"):
+        RenderSpec(window=(-1, 1, -1, 1), resolution=(4, 4), fn="beta", lam=LOG2,
+                   depth=depth, tau_depth=tau_depth)
+
+
+def test_export_unknown_function():
+    with pytest.raises(ValueError, match="fn must be one of"):
+        export_real_line("zeta")

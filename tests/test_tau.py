@@ -277,3 +277,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="integer"):
             TauConfig(n=n, k=k)
     assert TauConfig(n=np.int32(25), k=np.int64(5)) == TauConfig(n=25, k=5)
+
+
+@pytest.mark.parametrize("lam,s,u", [
+    (LOG2, 60.0, 2.0 ** -60),
+    (LOG2, 80.0, 2.0 ** -80),
+    ("variable", 3000.0, math.exp(-3000.0 / math.sqrt(3001.0))),
+])
+def test_tau_far_right_is_minus_log1p(lam, s, u):
+    # where 1 + u rounds to 1, -log(1 + u) gave -0 with status ok
+    vals, st = tau_grid(BetaParams(lam=lam, depth=100), TauConfig(n=100, k=5), np.array([s]))
+    assert st[0] == OK
+    assert abs(vals[0] + math.log1p(u)) <= 1e-13 * math.log1p(u)

@@ -17,9 +17,10 @@ from betatet import (
     tet_eval,
     tet_grid,
 )
-from betatet.acceptance import cauchy_riemann_ok, crit_strip_boundary
+from betatet.acceptance import cauchy_riemann_ok, crit_bijection, crit_strip_boundary
 from betatet.beta import beta_grid, f_grid, g_grid
-from betatet.errors import _STATUS_EXC, OK, BRANCH_CUT, DOMAIN, NONFINITE, SHORT_CIRCUIT
+from betatet.errors import (_STATUS_EXC, OK, BRANCH_CUT, DOMAIN, NO_CONVERGENCE, NONFINITE,
+                            SHORT_CIRCUIT)
 from betatet.tau import F_grid, tau_grid
 
 
@@ -163,6 +164,20 @@ def test_positivity_scan(high_model):
     assert scan2.all_positive
 
 
+def test_truncated_scan_fails_criterion_10(high_model, monkeypatch):
+    # the round-trip points stay at or below 2.5, so only the scan sees the failures
+    real_tet_grid = tetration.tet_grid
+
+    def failing_right(model, Z):
+        v, st = real_tet_grid(model, Z)
+        return v, np.where(np.real(Z) > 2.6, SHORT_CIRCUIT, st).astype(np.int8)
+
+    monkeypatch.setattr(tetration, "tet_grid", failing_right)
+    passed, detail = crit_bijection(high_model)
+    assert not passed
+    assert "stopped" in detail and "[-1.9,2.6)" in detail
+
+
 def test_monotone_strip(high_model):
     xs = np.linspace(-1.9, 2.0, 100)
     vals, st = tet_grid(high_model, xs)
@@ -286,7 +301,7 @@ def _newton_reference(model, target):
     """Scalar Newton on tet_eval; returns (s, iterations)."""
     s = float(np.interp(target, model.table_v, model.table_x))
     h = tetration._NEWTON_H
-    for i in range(tetration._NEWTON_STEPS):
+    for i in range(100):
         err = tet_eval(model, s).real - target
         if abs(err) < 1e-12 * max(1.0, abs(target)):
             return s, i + 1
@@ -315,6 +330,25 @@ def test_slog_grid_one_tet_grid_call_per_newton_step(high_model, monkeypatch):
     steps = max(n for _, n in ref)
     assert steps > 1
     assert sizes == [3 * sum(n > j for _, n in ref) for j in range(steps)]
+
+
+@pytest.mark.parametrize("profile,target", [
+    ("high", 1.88), ("high", 1.89), ("high", 0.635), ("default", 0.65), ("default", 1.95)])
+def test_slog_seam_gap_target_fails_within_three_calls(profile, target, monkeypatch):
+    # targets in the jumps at the variable-F seam have no preimage; Newton drops
+    # them once a residual fails to halve instead of running out a 100-step budget
+    sizes = []
+    real_tet_grid = tetration.tet_grid
+
+    def counting(model, Z):
+        sizes.append(np.size(Z))
+        return real_tet_grid(model, Z)
+
+    model = get_model(profile=profile)
+    monkeypatch.setattr(tetration, "tet_grid", counting)
+    v, st = slog_grid(model, target)
+    assert st == NO_CONVERGENCE and np.isnan(v)
+    assert 1 <= len(sizes) <= 3
 
 
 @pytest.mark.parametrize("profile", [
@@ -410,3 +444,8 @@ def test_partial_depth_pair_keeps_the_given_value():
     assert tetration._depths("high", None, None) == (100, 20)
     model = get_model(n=25)
     assert (model.n, model.k) == (25, 5)
+
+
+def test_unknown_profile_names_the_profiles():
+    with pytest.raises(ValueError, match="'default', 'high'"):
+        get_model(profile="bogus")
