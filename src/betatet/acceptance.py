@@ -148,6 +148,22 @@ def cauchy_riemann_ok(model):
     return (sx == OK) & (smx == OK) & (sy == OK) & (smy == OK) & cr
 
 
+def circle_mean_ok(evaluate, centres, r, nodes):
+    """Per centre c: every status OK, and the mean of evaluate over `nodes` equally
+    spaced points of |s - c| = r within 1e-8 max(1, |f(c)|) of f(c).
+
+    The mean is the trapezoid rule for Cauchy's integral, so it equals f(c) for
+    an f holomorphic on the disk; unlike Cauchy-Riemann it sees a cut that
+    crosses the circle.  evaluate maps an array to (values, status) of its shape.
+    """
+    ring = np.append(r * np.exp(2j * np.pi * np.arange(nodes) / nodes), 0.0)
+    v, st = evaluate(np.asarray(centres, np.complex128).ravel()[:, None] + ring)
+    f = v[:, -1]
+    with np.errstate(all="ignore"):
+        close = np.abs(v[:, :-1].mean(axis=1) - f) <= 1e-8 * np.maximum(1.0, np.abs(f))
+    return close & (st == OK).all(axis=1)
+
+
 def crit_strip_boundary(model):
     """Strip-boundary defect |F(s+1) - e^{F(s)}| / max(1, |F(s+1)|) <= 1e-10 of
     the model's F at s = x0 - 1 + iy, y in [0.1, 2], at 35 or more of 39 points.

@@ -59,6 +59,26 @@ def _permissive(parser):
     return parser
 
 
+def _model_flags(parser, n, k):
+    """The flags of what eval, plot and line evaluate; n and k are the beta and F depth defaults."""
+    parser.add_argument("--lambda", dest="lam", type=parse_lambda, default=None,
+                        help="complex 'a+bi' or the literal 'variable'")
+    parser.add_argument("--profile", choices=PROFILES, default="default", help="tet and slog model")
+    parser.add_argument("--depth", type=int, help=f"beta and F depth n (default {n})")
+    parser.add_argument("--tau-depth", type=int, help=f"F depth k (default {k})")
+    parser.set_defaults(depths=(n, k))
+
+
+def _depths(args):
+    """The --profile pair for tet and slog; for the others, the flags over their defaults."""
+    given = (args.depth, args.tau_depth)
+    if args.fn not in ("tet", "slog"):
+        return tuple(d if g is None else g for g, d in zip(given, args.depths))
+    if given != (None, None):
+        raise ValueError(f"{args.fn} takes its depths from --profile, not --depth or --tau-depth")
+    return PROFILES[args.profile]
+
+
 def build_parser():
     p = _permissive(argparse.ArgumentParser(
         prog="betatet", description="tetration via asymptotic exponential families"))
@@ -66,16 +86,9 @@ def build_parser():
 
     pe = _permissive(sub.add_parser("eval", help="evaluate one function at one point"))
     pe.add_argument("fn", choices=FUNCTIONS)
-    pe.add_argument("--lambda", dest="lam", type=parse_lambda, default=None,
-                    help="complex 'a+bi' or the literal 'variable'")
     pe.add_argument("--s", dest="point", type=parse_complex, required=True,
                     help="evaluation point (w-coordinate for g and f)")
-    pe.add_argument("--depth", type=int, default=None,
-                    help="beta depth n (default 100; for tet, the --profile value)")
-    pe.add_argument("--tau-depth", type=int, default=None,
-                    help="tau depth k (default 10; for tet, the --profile value)")
-    pe.add_argument("--profile", choices=PROFILES, default="default",
-                    help="tet calibration profile; --depth or --tau-depth replaces its half")
+    _model_flags(pe, 100, 10)
 
     pt = _permissive(sub.add_parser("taylor", help="print Taylor derivatives a_k of g"))
     pt.add_argument("--lambda", dest="lam", type=parse_complex, required=True)
@@ -83,28 +96,24 @@ def build_parser():
 
     pp = _permissive(sub.add_parser("plot", help="domain-coloring render to PPM (P6)"))
     pp.add_argument("--fn", choices=FUNCTIONS, required=True)
-    pp.add_argument("--lambda", dest="lam", type=parse_lambda, default=None)
     pp.add_argument("--window", type=_window, required=True,
                     help="re_min,re_max,im_min,im_max")
     pp.add_argument("--res", type=_resolution, required=True, help="WIDTHxHEIGHT")
     pp.add_argument("--out", required=True)
-    pp.add_argument("--depth", type=int, default=25)
-    pp.add_argument("--tau-depth", type=int, default=5)
+    _model_flags(pp, 25, 5)
     pp.add_argument("--grid-lines", action="store_true")
     pp.add_argument("--unit-disk", action="store_true")
     pp.add_argument("--origin-marker", action="store_true")
 
     pl = _permissive(sub.add_parser("line", help="sample a function on a real interval to CSV"))
     pl.add_argument("--fn", choices=[*FUNCTIONS, "slog"], required=True)
-    pl.add_argument("--lambda", dest="lam", type=parse_lambda, default=None)
     pl.add_argument("--from", dest="start", type=float, required=True)
     pl.add_argument("--to", dest="stop", type=float, required=True)
     pl.add_argument("--samples", type=int, required=True)
     pl.add_argument("--out", required=True)
-    pl.add_argument("--depth", type=int, default=100)
-    pl.add_argument("--tau-depth", type=int, default=10)
+    _model_flags(pl, 100, 10)
 
-    pc = _permissive(sub.add_parser("calibrate", help="print the normalization shift x0"))
+    pc = _permissive(sub.add_parser("calibrate", help="print the x0 of a profile's tet model"))
     pc.add_argument("--profile", choices=PROFILES, default="default")
 
     ps = _permissive(sub.add_parser("selftest", help="run the acceptance suite"))
@@ -116,10 +125,7 @@ def build_parser():
 
 def _cmd_eval(args):
     fn, z = args.fn, args.point
-    n, k = PROFILES[args.profile] if fn == "tet" else (100, 10)
-    depth = n if args.depth is None else args.depth
-    tau_depth = k if args.tau_depth is None else args.tau_depth
-    values, status = _evaluate_fn(fn, args.lam, depth, tau_depth, None, z)
+    values, status = _evaluate_fn(fn, args.lam, *_depths(args), None, z)
     raise_for_status(status, f"{fn} at s={z}")
     print(format_complex(values))
     return 0
@@ -133,8 +139,9 @@ def _cmd_taylor(args):
 
 
 def _cmd_plot(args):
+    depth, tau_depth = _depths(args)
     spec = RenderSpec(window=args.window, resolution=args.res, fn=args.fn,
-                      lam=args.lam, depth=args.depth, tau_depth=args.tau_depth,
+                      lam=args.lam, depth=depth, tau_depth=tau_depth,
                       overlay=Overlay(grid_lines=args.grid_lines,
                                       unit_disk=args.unit_disk,
                                       origin_marker=args.origin_marker))
@@ -145,9 +152,9 @@ def _cmd_plot(args):
 
 
 def _cmd_line(args):
+    depth, tau_depth = _depths(args)
     rows = export_real_line(args.fn, lam=args.lam, lo=args.start, hi=args.stop,
-                            samples=args.samples, depth=args.depth,
-                            tau_depth=args.tau_depth)
+                            samples=args.samples, depth=depth, tau_depth=tau_depth)
     write_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

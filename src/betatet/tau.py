@@ -91,12 +91,13 @@ def _mode(params, config):
 def _defect(a, lam):
     """-log(1 + u), u = e^{-lambda a}; the variable mode drifts lambda with a.
 
-    Where 1 + u rounds to 1 the value is -u, which is -log1p(u) to rounding.
-    Runs under the caller's np.errstate, as its one caller, _descend, holds it.
+    Kahan's log1p: with w = 1 + u rounded, log(w) u / (w - 1) keeps the digits
+    of u that the rounding drops, and where w is 1 the value is -u.  Runs under
+    the caller's np.errstate, as its one caller, _descend, holds it.
     """
     u = np.exp(-a / np.sqrt(1.0 + a)) if lam is None else np.exp(-lam * a)
     w = 1.0 + u
-    return np.negative(u, out=-np.log(w), where=w == 1.0)
+    return np.negative(u, out=np.log(w) * (u / (1.0 - w)), where=w == 1.0)
 
 
 def _on_cut(z):

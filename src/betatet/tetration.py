@@ -44,10 +44,7 @@ from .errors import (
 )
 from .tau import F_grid, TauConfig, _on_cut
 
-PROFILES = {
-    "default": (8, 5),
-    "high": (100, 20),
-}
+PROFILES = {"default": (25, 5), "high": (100, 20)}
 
 _SCAN_LO, _SCAN_HI = -5, 10
 _BISECT_LEVELS = 5
@@ -128,14 +125,11 @@ def _bisect(lo, hi, n, k):
 
 
 def _depths(profile, n, k):
-    """(n, k) as given; a value given as None comes from the named profile."""
-    if n is not None and k is not None:
-        return n, k
-    try:
-        pn, pk = PROFILES[profile]
-    except KeyError:
-        raise ValueError(f"unknown profile {profile!r}; use one of {sorted(PROFILES)}") from None
-    return (pn if n is None else n), (pk if k is None else k)
+    """(n, k) if both are given, else the named profile's pair; one alone is an error."""
+    if (n is None) != (k is None) or (n is None and profile not in PROFILES):
+        raise ValueError(f"give a profile of {sorted(PROFILES)} or both depths n and k; "
+                         f"got profile={profile!r}, n={n}, k={k}")
+    return PROFILES[profile] if n is None else (n, k)
 
 
 def calibrate(profile="default", n=None, k=None):
@@ -143,9 +137,8 @@ def calibrate(profile="default", n=None, k=None):
 
     The bracket is found by scanning integer steps on [-5, 10] for a sign
     change of F - 1 where F is real, evaluable, and increasing; bisection
-    then runs to double-precision width.  The depths are n and k; one left
-    as None comes from the named profile, so calibrate(n=25) runs at (25, 5).
-    The slog table is tet_grid of the model on [-1, 1].
+    then runs to double-precision width.  The depths are (n, k) if both are
+    given, else the profile's.  The slog table is tet_grid of the model on [-1, 1].
     """
     n, k = _depths(profile, n, k)
     model = TetModel(x0=_bisect(*_bracket(n, k), n, k), n=n, k=k)
@@ -324,8 +317,7 @@ _MODEL_CACHE = {}
 
 
 def get_model(profile="default", n=None, k=None):
-    """Calibrate once per depth pair (n, k) and cache the model; n or k left
-    as None comes from the named profile, as in calibrate."""
+    """Calibrate once per depth pair and cache the model; arguments as in calibrate."""
     n, k = _depths(profile, n, k)
     if (n, k) not in _MODEL_CACHE:
         _MODEL_CACHE[n, k] = calibrate(n=n, k=k)

@@ -136,9 +136,13 @@ def test_bad_flags_exit_two():
 
 @pytest.mark.parametrize("argv", [
     ["eval", "tet", "--s", "0", "--profile", "bogus"],
+    ["plot", "--fn", "tet", "--window", "-1,1,-1,1", "--res", "4x4", "--out", "x.ppm",
+     "--profile", "bogus"],
+    ["line", "--fn", "slog", "--from", "0", "--to", "1", "--samples", "3", "--out", "x.csv",
+     "--profile", "bogus"],
     ["calibrate", "--profile", "bogus"],
     ["selftest", "--profile", "bogus"],
-], ids=["eval-profile", "calibrate-profile", "selftest-profile"])
+], ids=["eval-profile", "plot-profile", "line-profile", "calibrate-profile", "selftest-profile"])
 def test_unknown_scheme_or_profile_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -176,13 +180,13 @@ def test_line_slog_writes_csv(tmp_path, capsys):
 
     out = tmp_path / "slog.csv"
     rc = main(["line", "--fn", "slog", "--from", "-1", "--to", "20",
-               "--samples", "30", "--depth", "8", "--tau-depth", "5", "--out", str(out)])
+               "--samples", "30", "--out", str(out)])
     assert rc == 0
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "re", "im", "status"]
     xs = np.array([float(r[0]) for r in rows[1:]])
-    vals, st = slog_grid(get_model(n=8, k=5), xs)
+    vals, st = slog_grid(get_model(profile="default"), xs)
     assert [r[3] for r in rows[1:]] == [STATUS_NAMES[int(c)] for c in st]
     assert "ok" in {r[3] for r in rows[1:]}
     for r, v, c in zip(rows[1:], vals, st):
@@ -192,13 +196,14 @@ def test_line_slog_writes_csv(tmp_path, capsys):
             assert r[1] == r[2] == "nan"
 
 
-def test_calibrate_prints_x0(capsys):
-    rc = main(["calibrate", "--profile", "default"])
+def test_calibrate_prints_x0(capsys, high_model):
+    rc = main(["calibrate"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "x0 = " in out
+    assert "x0 = " in out and "profile default: n=25, k=5" in out
     x0 = float(out.split("=", 1)[1].split()[0])
-    assert -5 <= x0 <= 10
+    # (25, 5) and the high profile give the same bits on the real axis
+    assert x0 == high_model.x0
 
 
 @pytest.mark.parametrize("argv", [
@@ -218,17 +223,50 @@ def test_unwritable_output_exits_two(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_eval_tet_depth_flags_replace_the_profile_half(capsys):
+_TET_ARGV = {
+    "eval": ["eval", "tet", "--s", "0.5+0.5i"],
+    "plot": ["plot", "--fn", "tet", "--window", "-1,1,-1,1", "--res", "4x3", "--out", "{out}"],
+    "line-tet": ["line", "--fn", "tet", "--from", "-1.9", "--to", "2", "--samples", "7",
+                 "--out", "{out}"],
+    "line-slog": ["line", "--fn", "slog", "--from", "-1", "--to", "20", "--samples", "7",
+                  "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("flags", [["--depth", "25"], ["--tau-depth", "5"],
+                                   ["--depth", "100", "--tau-depth", "20"]],
+                         ids=["depth", "tau-depth", "both"])
+@pytest.mark.parametrize("command", _TET_ARGV)
+def test_tet_and_slog_take_no_depth_flags(command, flags, tmp_path, capsys):
+    # tet and slog take their depths from --profile only; --depth used to replace
+    # half of the profile's pair in eval and to pick the model in plot and line
+    out = tmp_path / "out"
+    rc = main([a.format(out=out) for a in _TET_ARGV[command]] + flags)
+    assert rc == 2
+    assert "--profile" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile", [None, "high"])
+def test_profile_flag_selects_the_tet_and_slog_model(profile, tmp_path, capsys):
+    # eval, plot and line all evaluate tet and slog with get_model(profile=...)
+    from betatet.render import RenderSpec, export_real_line, render_hue, write_csv
     from betatet.tetration import get_model, tet_eval
 
-    def run(*argv):
-        assert main(["eval", "tet", "--s", "0.5+0.5i", *argv]) == 0
-        return capsys.readouterr().out
-
-    assert run("--depth", "100", "--tau-depth", "20") == run("--profile", "high")
-    assert parse_complex(run("--depth", "25")) == tet_eval(get_model(n=25, k=5), 0.5 + 0.5j)
-    # without the flags the --profile pair stays: (8, 5) and (100, 10) differ here
-    assert parse_complex(run()) == tet_eval(get_model(n=8, k=5), 0.5 + 0.5j)
+    model = get_model(profile=profile or "default")
+    n, k = model.n, model.k
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    run = {c: [a.format(out=out) for a in argv] + (["--profile", profile] if profile else [])
+           for c, argv in _TET_ARGV.items()}
+    assert main(run["eval"]) == 0
+    assert parse_complex(capsys.readouterr().out) == tet_eval(model, 0.5 + 0.5j)
+    assert main(run["plot"]) == 0
+    spec = RenderSpec(window=(-1, 1, -1, 1), resolution=(4, 3), fn="tet", depth=n, tau_depth=k)
+    assert out.read_bytes() == render_hue(spec).to_ppm()
+    for fn, lo, hi in (("tet", -1.9, 2.0), ("slog", -1.0, 20.0)):
+        assert main(run[f"line-{fn}"]) == 0
+        write_csv(export_real_line(fn, lo=lo, hi=hi, samples=7, depth=n, tau_depth=k), ref)
+        assert out.read_text() == ref.read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,3 +303,18 @@ def test_selftest_exit_code_follows_the_criteria(passed, code, monkeypatch):
 
     monkeypatch.setattr(acceptance, "run_all", fake_run_all)
     assert main(["selftest"]) == code
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # every command of README's CLI block but selftest exits 0, its --out moved to tmp_path
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("betatet ")]
+    commands = [argv for argv in commands if argv[0] != "selftest"]
+    assert len(commands) >= 8
+    for argv in commands:
+        argv = [str(tmp_path / a) if flag == "--out" else a for flag, a in zip([None, *argv], argv)]
+        assert main(argv) == 0, argv
