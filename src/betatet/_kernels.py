@@ -18,18 +18,32 @@ same level loop in float64, and every other point in complex128.  Each chunk
 picks the route per point, so neither the route nor a point's bits depend
 on the batch; float64 results come back as complex128.
 
+The loop runs in blocks of levels.  A level splits into its level-only
+terms (for beta x_j, the e^{f - x} switch past the overflow guard, the
+denominator 1 + e^{x_j} and the singular mask; for w e^{lambda j}, the
+denominator e^{lambda j} + w and the singular mask) and the update of f.
+The terms of a whole block come from one pass over a (levels, points)
+array; only the update runs level by level.  A block has
+min(32, max(1, 4096 // live points)) levels, so a point alone runs 32
+levels per block and a batch of more than 2048 live points one, with the
+passes per level of a plain level loop.
+
 `_compose` applies the same guards to each point, in this order: singular
-denominator, then overflow guard, then non-finite update.  A point stops at
-the first guard it trips and keeps its last finite iterate; a point with a
-non-finite input gets the nonfinite status before the first level.
+denominator, then overflow guard, then non-finite update.  They are checked
+once per block on all its levels, and the first level at which a point
+trips one decides: the point stops there, keeps its last finite iterate and
+fills its later rows, and what it computed past that level is dropped.  A
+point with a non-finite input gets the nonfinite status before the first
+level.
 
 A batch with at least SPLIT_MIN points for each CPU this process may run on
 (its affinity mask, read once at import) is cut into contiguous chunks, one
 per CPU.  The calling thread runs the level loop on the last chunk and
 worker threads, started at the first split and kept, run it on the others;
 numpy's ufuncs release the interpreter lock.  Smaller batches never touch a
-worker.  The split keeps every bit: each point's operations and their
-operand order are the same in any batch, and no step reduces across points.
+worker.  Neither the split nor the blocks change a bit: each point's
+operations and their operand order are the same in any batch and block,
+and no step reduces across points.
 """
 
 import os
@@ -44,13 +58,19 @@ BACKEND = "numpy"
 # fewest points per chunk for which a batch is split across the CPUs: below
 # this a split call's time depends too much on how the CPUs are scheduled
 SPLIT_MIN = 16384
+
+# a block of levels holds about this many point-levels, and at most _BLOCK_MAX levels
+_BLOCK_POINTS = 4096
+_BLOCK_MAX = 32
+
 _CPUS = len(os.sched_getaffinity(0))
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def _compose(level, depth, f, *inputs, rows=None, real=None):
-    """Run f <- level(j, f, *inputs) for j = depth, ..., 1; returns (values, status).
+    """Run the levels j = depth, ..., 1 of level (see `_levels`) from f; returns
+    (values, status).
 
     With rows, values and status gain a leading axis of that length: row m
     holds the iterate after level rows - m, so the last row is the result.
@@ -121,13 +141,18 @@ def _levels(level, depth, count, f, inputs, real=None):
     The points that real marks run on the real parts of f and the inputs, in
     float64, the others in complex128; a chunk of one kind runs the loop once.
 
-    level returns the update and its singular mask.  Points that stop are
-    compacted away each level together with their inputs, which stay named
-    arrays: numpy may compute a product with a temporary operand in place,
-    swapping the operands, and complex multiplication with FMA is not
-    bitwise commutative, so gathering inside level would change last bits.
-    For the same reason a level writes each product with its temporary
-    operand on the left, so its bits do not depend on the batch size.
+    level(js, *inputs) computes the level-only terms of the levels js, a
+    descending column of f's dtype, for every live point in one pass and
+    returns (step, sing): step(b, f) applies level js[b] to f, and sing is
+    the (len(js), N) singular mask.  A block runs the steps, then checks the
+    guards on all its levels at once; points that stop are compacted away
+    at its end together with their inputs, which stay named arrays: numpy
+    may compute a product with a temporary operand in place, swapping the
+    operands, and complex multiplication with FMA is not bitwise
+    commutative, so gathering inside level would change last bits.  For
+    the same reason a level writes each product with its temporary operand
+    on the left, and lays out a complex product's operands alike in blocks
+    of any length, so its bits depend on neither the batch nor the block.
     numpy's errstate is per thread, so it is set here.
     """
     if real is not None and real.all():
@@ -146,35 +171,74 @@ def _levels(level, depth, count, f, inputs, real=None):
     idx = np.flatnonzero(finite)
     inputs = [a[idx] for a in inputs]
     f = values[0, idx]
+    levels = np.arange(depth, 0, -1, dtype=f.dtype)[:, None]
+    j = depth
     with np.errstate(all="ignore"):
-        for j in range(depth, 0, -1):
-            if not idx.size:
-                break
-            fn, sing = level(j, f, *inputs)
-            stop = sing | (f.real > OVERFLOW_GUARD) | ~np.isfinite(fn)
+        while j > 0 and idx.size:
+            size = min(_block_length(idx.size), j)
+            step, sing = level(levels[depth - j:depth - j + size], *inputs)
+            outs = [step(0, f)]
+            for b in range(1, size):
+                outs.append(step(b, outs[-1]))
+            del step                # frees the terms before the next block's
+            if size == 1:           # views: a large batch makes no extra pass
+                ins, fs = f[None], outs[0][None]
+            else:
+                both = np.stack([f, *outs])
+                ins, fs = both[:-1], both[1:]
+            # row b of ins and fs: the input and update of level j - b
+            stop = sing | (ins.real > OVERFLOW_GUARD) | ~np.isfinite(fs)
+            # level j - b is row count - j + b; rows start at level count
+            first = max(j - count, 0)
+            if first < size:
+                values[count - j + first:count - j + size, idx] = fs[first:]
             if stop.any():
-                at, first = idx[stop], max(count - j, 0)
-                values[first:, at] = f[stop]
-                status[first:, at] = np.where(sing[stop], SINGULAR, SHORT_CIRCUIT)
-                keep = ~stop
-                idx, f = idx[keep], fn[keep]
+                hit = stop.any(axis=0)
+                at = np.flatnonzero(hit)
+                b = stop[:, at].argmax(axis=0)
+                kept = ins[b, at]
+                code = np.where(sing[b, at], SINGULAR, SHORT_CIRCUIT)
+                cols = idx[at]
+                if count == 1:
+                    values[0, cols], status[0, cols] = kept, code
+                else:
+                    fill = np.arange(count)[:, None] >= count - j + b
+                    values[:, cols] = np.where(fill, kept, values[:, cols])
+                    status[:, cols] = np.where(fill, code, status[:, cols])
+                keep = ~hit
+                idx, f = idx[keep], fs[-1][keep]
                 inputs = [a[keep] for a in inputs]
             else:
-                f = fn
-            if j <= count:
-                values[count - j, idx] = f
+                f = fs[-1]
+            j -= size
     return values, status
 
 
-def _beta_level(j, f, s, rate):
+def _block_length(points):
+    """Levels per block for this many live points: at most _BLOCK_MAX, and
+    about _BLOCK_POINTS point-levels, so a batch of more than half that runs
+    one level per block, where numpy's per-call cost is already small."""
+    return min(_BLOCK_MAX, max(1, _BLOCK_POINTS // points))
+
+
+def _beta_level(js, s, rate):
+    """Level-only terms of the beta levels js over the points: (step, sing)."""
+    # rate unbroadcast, one row per level: numpy's complex multiply takes
+    # another loop, which may round otherwise, for an operand of stride 0
+    x = (js - s) * (rate[None] if js.size == 1 else np.repeat(rate[None], js.size, axis=0))
     # past the overflow guard e^x itself would overflow: use e^{f - x}
-    x = (j - s) * rate
     big = x.real > OVERFLOW_GUARD
     den = 1.0 + np.exp(x)
-    fn = np.exp(f) / den
-    if big.any():
-        fn[big] = np.exp(f[big] - x[big])
-    return fn, ~big & (np.abs(den) < SINGULAR_RADIUS)
+    some = big.any(axis=1)
+
+    def step(b, f):
+        fn = np.exp(f) / den[b]
+        if some[b]:
+            row = big[b]
+            fn[row] = np.exp(f[row] - x[b, row])
+        return fn
+
+    return step, ~big & (np.abs(den) < SINGULAR_RADIUS)
 
 
 def _beta(s, lam, depth, rows=None):
@@ -211,14 +275,21 @@ def g_comp_grid(w, lam, depth, f=None, rows=None):
     w = np.asarray(w, np.complex128)
     lam = complex(lam)
 
-    def level(j, f, w):
-        x = lam * j
-        if x.real > OVERFLOW_GUARD:
-            # e^{lambda j} would overflow: w e^f/(e^x + w) = w e^{f-x}/(1 + w e^{-x})
-            return np.exp(f - x) * w / (1.0 + w * np.exp(-x)), np.zeros(f.shape, bool)
+    def level(js, w):
+        x = lam * js
         ej = np.exp(x)
         den = ej + w
-        return np.exp(f) * w / den, np.abs(den) < SINGULAR_RADIUS * abs(ej)
+        sing = np.abs(den) < SINGULAR_RADIUS * np.abs(ej)
+        big = (x.real > OVERFLOW_GUARD).ravel().tolist()
+        for b, over in enumerate(big):
+            if over:
+                # e^{lambda j} would overflow: w e^f/(e^x + w) = w e^{f-x}/(1 + w e^{-x})
+                den[b], sing[b] = 1.0 + w * np.exp(-x[b, 0]), False
+
+        def step(b, f):
+            return (np.exp(f - x[b, 0]) if big[b] else np.exp(f)) * w / den[b]
+
+        return step, sing
 
     f = np.zeros(w.shape, np.complex128) if f is None else np.broadcast_to(f, w.shape)
     return _compose(level, int(depth), f, w, rows=rows)

@@ -63,7 +63,8 @@ def _model_flags(parser, n, k):
     """The flags of what eval, plot and line evaluate; n and k are the beta and F depth defaults."""
     parser.add_argument("--lambda", dest="lam", type=parse_lambda, default=None,
                         help="complex 'a+bi' or the literal 'variable'")
-    parser.add_argument("--profile", choices=PROFILES, default="default", help="tet and slog model")
+    parser.add_argument("--profile", choices=PROFILES,
+                        help="tet and slog model (default: default); not for other functions")
     parser.add_argument("--depth", type=int, help=f"beta and F depth n (default {n})")
     parser.add_argument("--tau-depth", type=int, help=f"F depth k (default {k})")
     parser.set_defaults(depths=(n, k))
@@ -73,10 +74,12 @@ def _depths(args):
     """The --profile pair for tet and slog; for the others, the flags over their defaults."""
     given = (args.depth, args.tau_depth)
     if args.fn not in ("tet", "slog"):
+        if args.profile is not None:
+            raise ValueError(f"--profile selects the tet and slog model; {args.fn} does not take it")
         return tuple(d if g is None else g for g, d in zip(given, args.depths))
     if given != (None, None):
         raise ValueError(f"{args.fn} takes its depths from --profile, not --depth or --tau-depth")
-    return PROFILES[args.profile]
+    return PROFILES[args.profile or "default"]
 
 
 def build_parser():

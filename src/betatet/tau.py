@@ -25,6 +25,13 @@ Every level below the top takes one step with three numerical regimes:
   exact in that zone.  A literal or G log argument on the principal cut
   short-circuits the point.
 
+What a level reads of the beta stack and of s alone (the defect at
+a = s + m, and which beta rows are OK, short-circuited, poisoned or past
+_G_SWITCH) does not depend on the carried value.  `_rows` computes it
+before the descent, in one pass over the stack or, for the defect, over
+blocks of levels as long as the kernels' (`_kernels._block_length`), and
+each level reads its rows.
+
 A depth-j descent reads the beta rows s + m for m = 0..j-1, and row j too in
 variable mode (its top level).  For fixed lambda the rows 0..max(k,1)-1 are
 the diagonal of one beta run at s + k - 1 of depth n + k - 1: row m is
@@ -37,6 +44,7 @@ F(s) = beta(s) + tau(s) satisfies F(s+1) = e^{F(s)} level-exactly.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +101,7 @@ def _defect(a, lam):
 
     Kahan's log1p: with w = 1 + u rounded, log(w) u / (w - 1) keeps the digits
     of u that the rounding drops, and where w is 1 the value is -u.  Runs under
-    the caller's np.errstate, as its one caller, _descend, holds it.
+    the caller's np.errstate, as its one caller, _rows, runs in _descend's.
     """
     u = np.exp(-a / np.sqrt(1.0 + a)) if lam is None else np.exp(-lam * a)
     w = 1.0 + u
@@ -122,21 +130,46 @@ def _stacks(params, config, sf):
     return mode, None, vals.reshape(k + 1, sf.size), st.reshape(k + 1, sf.size)
 
 
-def _step(T, grep, status, nxt, cur, d, ratio):
+class _Rows(NamedTuple):
+    """The beta stack of a descent with its level-only terms, one row per
+    level: D[m] is the defect at s + m and the masks read SB or |B|."""
+
+    B: np.ndarray
+    SB: np.ndarray
+    D: list                 # of rows
+    ok: np.ndarray          # SB == OK
+    over: np.ndarray        # SB == SHORT_CIRCUIT
+    poison: np.ndarray      # SB is SINGULAR or NONFINITE
+    huge: np.ndarray        # beta not OK or beyond _G_SWITCH
+
+
+def _rows(sf, j, lam, B, SB):
+    """_Rows of a depth-j descent over sf: the terms that do not depend on the
+    carried value.  The masks come from one pass over the stack, the defect
+    from one per block of levels: on a large batch, one level per pass keeps
+    each call's arrays as small as a plain level loop's."""
+    size = _kernels._block_length(sf.size)
+    D = [d for m in range(0, j, size)
+         for d in _defect(sf + np.arange(m, min(m + size, j), dtype=sf.dtype)[:, None], lam)]
+    ok = SB == OK
+    return _Rows(B, SB, D, ok, SB == SHORT_CIRCUIT, (SB == SINGULAR) | (SB == NONFINITE),
+                 ~ok | (np.abs(B) > _G_SWITCH))
+
+
+def _step(T, grep, status, rows, m, ratio):
     """One pullback level below the top: (T, grep) at a = s + m from level m + 1.
 
-    T is tau, or G = beta + tau where grep is set; nxt and cur are the
-    (values, status) of beta(a+1) and beta(a), d the defect at a.  status is
+    T is tau, or G = beta + tau where grep is set; rows holds beta(a+1) and
+    beta(a) in rows m + 1 and m, and the defect at a in D[m].  status is
     updated in place, and failed points keep their T.
     """
-    bn, sn = nxt
-    b, sb = cur
+    bn, b, d = rows.B[m + 1], rows.B[m], rows.D[m]
     live = status == OK
     taus = live & ~grep
-    over = taus & (sn == SHORT_CIRCUIT)
-    poison = taus & ((sn == SINGULAR) | (sn == NONFINITE))
-    status[poison] = sn[poison]
-    fin = taus & (sn == OK)
+    over = taus & rows.over[m + 1]
+    poison = taus & rows.poison[m + 1]
+    status[poison] = rows.SB[m + 1][poison]
+    fin = taus & rows.ok[m + 1]
     w = T / bn
     rat = fin & (np.abs(w) <= _RATIO_MAX) & ratio
     lit = fin & ~rat
@@ -144,7 +177,7 @@ def _step(T, grep, status, nxt, cur, d, ratio):
     z = np.where(grep, T, np.where(rat, 1.0 + w, bn + T))
     cut = ((live & grep) | lit) & _on_cut(z)
     status[cut] = SHORT_CIRCUIT
-    switch = lit & ~cut & ((sb != OK) | (np.abs(b) > _G_SWITCH))
+    switch = lit & ~cut & rows.huge[m]
     L = np.log(z)
     Tn = np.where(grep | switch, L, np.where(rat, d + L, np.where(over, d, L - b)))
     return np.where(status == OK, Tn, T), grep | switch
@@ -162,7 +195,8 @@ def _descend(sf, j, mode, lam, B, SB):
         return np.zeros(npts, np.complex128), status, B[0], SB[0]
     grep = np.zeros(npts, bool)
     with np.errstate(all="ignore"):
-        d = _defect(sf + (j - 1), lam)
+        rows = _rows(sf, j, lam, B, SB)
+        d = rows.D[j - 1]
         if mode == "fixed":
             T = d
         else:
@@ -170,21 +204,19 @@ def _descend(sf, j, mode, lam, B, SB):
             # that underflowed to a denormal (finite log, taken by the literal) or
             # to zero beside a huge beta(s+j-1) (defect here): 864 of the 52,992
             # render_tet-window points at n=25, k=5
-            ok = SB[j] == OK
-            huge = (SB[j - 1] != OK) | (np.abs(B[j - 1]) > _G_SWITCH)
+            ok, huge = rows.ok[j], rows.huge[j - 1]
             L = np.log(np.where(ok, B[j], 1.0))
             grep = ok & huge & ~_on_cut(B[j])
             T = np.where(ok & ~huge, L - B[j - 1], np.where(grep, L, d))
 
         for m in range(j - 2, -1, -1):
-            T, grep = _step(T, grep, status, (B[m + 1], SB[m + 1]), (B[m], SB[m]),
-                            _defect(sf + m, lam), mode == "fixed")
+            T, grep = _step(T, grep, status, rows, m, mode == "fixed")
 
         # assemble tau and F; in G representation F is the carried value itself,
         # and tau needs beta(s) only to convert out of it.  A singular or
         # non-finite beta(s) names the failure of a point that already failed
-        bad = (status == OK) & (SB[0] != OK)
-        own = (status != OK) & ((SB[0] == SINGULAR) | (SB[0] == NONFINITE))
+        bad = (status == OK) & ~rows.ok[0]
+        own = (status != OK) & rows.poison[0]
         tstat = np.where((bad & grep) | own, SB[0], status)
         fstat = np.where(bad | own, SB[0], status)
     return np.where(grep, T - B[0], T), tstat, np.where(grep, T, B[0] + T), fstat

@@ -247,6 +247,29 @@ def test_tet_and_slog_take_no_depth_flags(command, flags, tmp_path, capsys):
     assert not out.exists()
 
 
+_OTHER_ARGV = {
+    "eval": ["eval", "{fn}", "--s", "0.5", "--lambda", "{lam}"],
+    "plot": ["plot", "--fn", "{fn}", "--window", "-1,1,-1,1", "--res", "4x3", "--out", "{out}",
+             "--lambda", "{lam}"],
+    "line": ["line", "--fn", "{fn}", "--from", "0.5", "--to", "2", "--samples", "7",
+             "--out", "{out}", "--lambda", "{lam}"],
+}
+
+
+@pytest.mark.parametrize("fn,lam", [("beta", "0.693"), ("F", "variable"), ("g", "0.693"),
+                                    ("f", "0.693")])
+@pytest.mark.parametrize("command", _OTHER_ARGV)
+def test_profile_flag_is_only_for_tet_and_slog(command, fn, lam, tmp_path, capsys):
+    # --profile names a tet model; given with any other function it used to be
+    # ignored, so eval beta printed the depth-100 value under --profile high
+    out = tmp_path / "out"
+    argv = [a.format(fn=fn, lam=lam, out=out) for a in _OTHER_ARGV[command]]
+    assert main(argv + ["--profile", "high"]) == 2
+    assert "--profile" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("profile", [None, "high"])
 def test_profile_flag_selects_the_tet_and_slog_model(profile, tmp_path, capsys):
     # eval, plot and line all evaluate tet and slog with get_model(profile=...)

@@ -214,6 +214,71 @@ def test_bits_independent_of_batch_size(monkeypatch):
                 assert v[..., 0].tobytes() == values[..., i].tobytes(), (cpus, pts[i])
 
 
+# real s on a fine grid of [-3, 40] stop at the overflow guard, and the
+# singular lattice points s = m - i pi/lambda at level m of the fixed kernel;
+# a one-point call runs blocks of 32 levels, a batch of this size one level
+# at a time, then longer blocks as its points stop
+EDGE_S = np.concatenate([np.linspace(-3, 40, 2100), np.arange(1, 101) - 1j * math.pi / LOG2,
+                         PROBE])
+# one-point calls on every 7th real point and on every lattice and probe point
+EDGE_PICK = np.concatenate([np.arange(0, 2100, 7), np.arange(2100, EDGE_S.size)])
+
+
+def test_edge_points_stop_at_every_block_position():
+    # the first non-OK row of a rows=depth run is the level a point stopped at;
+    # row m is position m % 32 of a one-point call's blocks
+    assert _kernels._block_length(1) == 32 and _kernels._block_length(EDGE_S.size) == 1
+    _, status = _kernels.beta_fixed_grid(EDGE_S[EDGE_PICK], LOG2, 100, 100)
+    first = np.argmax(status != OK, axis=0) % 32
+    for code in (SHORT_CIRCUIT, SINGULAR):
+        assert set(first[status[-1] == code].tolist()) == set(range(32)), code
+
+
+@pytest.mark.parametrize("depth", [1, 31, 32, 33, 100])
+def test_one_point_calls_match_the_batch_at_block_edges(depth):
+    # a point's value and status are the same whether it runs in blocks of 32
+    # levels alone or one level at a time in a batch, stops included: rows
+    # filled by a stop, and g_comp_grid from a per-point f0, whose points with
+    # |w| near 1e300 overflow e^f w to a non-finite update
+    rng = np.random.default_rng(5)
+    with np.errstate(all="ignore"):
+        w = np.exp(LOG2 * EDGE_S)
+    w[:40] = 10.0 ** rng.uniform(290, 308, 40)
+    f0 = rng.uniform(-2, 2, w.size) + 1j * rng.uniform(-2, 2, w.size)
+    runs = [lambda i: _kernels.beta_variable_grid(EDGE_S[i], depth),
+            lambda i: _kernels.beta_fixed_grid(EDGE_S[i], LOG2, depth),
+            lambda i: _kernels.beta_fixed_grid(EDGE_S[i], 0.5 + 3j, depth + 4, 5),
+            lambda i: _kernels.beta_fixed_grid(EDGE_S[i], LOG2, depth + 4, 5),
+            lambda i: _kernels.g_comp_grid(w[i], 0.5 + 3j, depth, f0[i], 3),
+            lambda i: _kernels.g_comp_grid(w[i], LOG2, depth, f0[i])]
+    seen = set()
+    for run in runs:
+        values, status = run(slice(None))
+        seen |= set(status.ravel().tolist())
+        for i in EDGE_PICK:
+            v, st = run(slice(i, i + 1))
+            assert np.array_equal(st[..., 0], status[..., i]), EDGE_S[i]
+            assert v[..., 0].tobytes() == values[..., i].tobytes(), EDGE_S[i]
+    assert seen == {OK, SINGULAR, SHORT_CIRCUIT, NONFINITE} if depth > 1 else seen >= {OK, NONFINITE}
+
+
+@pytest.mark.parametrize("s", [0.3 + 0.2j, 2.5], ids=["complex", "real"])
+def test_level_terms_are_computed_per_block(monkeypatch, s):
+    # a one-point depth-100 call computes its level-only terms in ceil(100 / B)
+    # passes of _beta_level, B = 32 levels each, not in one pass per level
+    level, sizes = _kernels._beta_level, []
+
+    def spy(js, s, rate):
+        sizes.append(js.size)
+        return level(js, s, rate)
+
+    monkeypatch.setattr(_kernels, "_beta_level", spy)
+    _, status = _kernels.beta_variable_grid(np.array([s]), 100)
+    assert status[0] == OK
+    assert sum(sizes) == 100
+    assert len(sizes) <= math.ceil(100 / _kernels._block_length(1)) == 4
+
+
 def _complex_route(s, lam, depth, rows=None):
     # the beta kernel with every point in complex128, as before real points
     # had their float64 route
@@ -237,9 +302,9 @@ def test_mixed_batches_keep_every_points_bits(monkeypatch):
     assert 0.4 < np.mean(s.imag == 0) < 0.6 and np.signbit(s.imag[s.imag == 0]).any()
     dtypes = set()
 
-    def spy(j, f, s, rate):
-        dtypes.add(f.dtype)
-        return level(j, f, s, rate)
+    def spy(js, s, rate):
+        dtypes.add(js.dtype)        # the dtype of the iterate
+        return level(js, s, rate)
 
     level = _kernels._beta_level
     monkeypatch.setattr(_kernels, "_beta_level", spy)

@@ -159,8 +159,8 @@ def test_fixed_stack_rows_are_one_beta_level_apart(lam):
     rate = np.full(t.shape, complex(lam))
     for m in range(k - 1):
         ok = SB[m + 1] == OK
-        step, _ = _kernels._beta_level(k - 1 - m, B[m][ok], t[ok], rate[ok])
-        assert np.array_equal(step.view(np.int64), B[m + 1][ok].view(np.int64))
+        step, _ = _kernels._beta_level(np.array([[k - 1 - m]], complex), t[ok], rate[ok])
+        assert np.array_equal(step(0, B[m][ok]).view(np.int64), B[m + 1][ok].view(np.int64))
         # a point that stops keeps its last iterate, and its status holds in later rows
         assert np.array_equal(B[m + 1][~ok], B[m][~ok])
         assert np.all((SB[m][~ok] == OK) | (SB[m][~ok] == SB[m + 1][~ok]))

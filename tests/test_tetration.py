@@ -377,6 +377,17 @@ def test_circle_mean_holds_for_exp_exp():
                           _grid(-1.5, 2, 36, 0.1, 2, 20), r=0.05, nodes=64).all()
 
 
+@pytest.mark.parametrize("lam", [math.log(2), 0.5 + 3j, 1.0], ids=["log2", "0.5+3i", "1"])
+def test_circle_mean_holds_for_g_grid(lam):
+    # guards the check on one of the package's own evaluators: g is holomorphic
+    # on |w| < R = e^{Re lambda}, its first pole -e^lambda lying on that circle,
+    # and every circle of radius R/10 about a centre of the 12 x 12 grid over
+    # |Re w|, |Im w| <= R/2 stays inside |w| <= 0.81 R
+    R = math.exp(complex(lam).real)
+    centres = _grid(-R / 2, R / 2, 12, -R / 2, R / 2, 12)
+    assert circle_mean_ok(lambda w: g_grid(lam, w), centres, r=R / 10, nodes=64).all()
+
+
 @pytest.mark.parametrize("profile", [
     pytest.param("default", marks=pytest.mark.xfail(
         strict=True, reason="the circle mean holds at 114 of 180 centres (0.633)")),
