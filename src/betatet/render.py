@@ -202,22 +202,18 @@ def export_real_line(fn, lam=None, lo=0.0, hi=1.0, samples=100, depth=100,
     xs = np.linspace(lo, hi, samples)
     values, status = _evaluate_fn(fn, lam, depth, tau_depth, None,
                                   xs.astype(np.complex128))
-    rows = []
-    for x, v, st in zip(xs, values, status):
-        code = int(st)
-        rows.append((float(x), complex(v) if code == OK else None, STATUS_NAMES[code]))
-    return rows
+    return [(x, v if code == OK else None, STATUS_NAMES[code])
+            for x, v, code in zip(xs.tolist(), values.tolist(), status.tolist())]
 
 
 def write_csv(rows, path):
-    """Write export_real_line rows as CSV with header x,re,im,status."""
-    import csv
+    """Write export_real_line rows as CSV with header x,re,im,status.
 
+    The text is csv.writer's (no field needs quoting, lines end in CRLF),
+    built as one string and written once.
+    """
+    lines = ["x,re,im,status"]
+    lines += [f"{x!r},nan,nan,{st}" if v is None else f"{x!r},{v.real!r},{v.imag!r},{st}"
+              for x, v, st in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im", "status"])
-        for x, v, st in rows:
-            if v is None:
-                writer.writerow([repr(x), "nan", "nan", st])
-            else:
-                writer.writerow([repr(x), repr(v.real), repr(v.imag), st])
+        fh.write("\r\n".join(lines) + "\r\n")

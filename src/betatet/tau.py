@@ -38,7 +38,10 @@ the diagonal of one beta run at s + k - 1 of depth n + k - 1: row m is
 beta_{n+m}(s+m), and row m+1 is exactly one beta level applied to row m, so
 the rows are linked by beta(s+1) = e^{beta(s)}/(e^{-lambda s} + 1) as the
 pullback assumes.  Variable lambda has a different rate in each row, so its
-rows 0..k are separate depth-n runs.
+rows 0..k are separate depth-n runs, and a real point's rows stop at its
+first row that is not OK (`_variable_stack`): the rows above it would only
+short-circuit, and a short-circuited row m + 1 reduces level m to the
+defect whatever its value, so they are copies of that row.
 
 F(s) = beta(s) + tau(s) satisfies F(s+1) = e^{F(s)} level-exactly.
 """
@@ -61,6 +64,12 @@ _RATIO_MAX = 0.5
 _G_SWITCH = 1e8
 
 _CUT_EPS = 1e-12
+
+# variable stack rows run for every real point: its first row that is not OK
+# is row 4 or 5 all over the tet base strip (x0 - 1, x0] (896 and 1,604 of
+# 2,500 samples at the high profile), so a tet evaluation on real points
+# never needs more; 6 is also the default profile's k + 1
+_REAL_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,9 @@ def _on_cut(z):
 def _stacks(params, config, sf):
     """(mode, lam, B, SB): the beta rows a depth-k descent over sf reads.
 
-    B/SB hold beta(sf + m) and its status in row m.
+    B/SB hold beta(sf + m) and its status in row m, except in a variable
+    stack's rows above a real point's first row that is not OK: those are
+    copies of that row (see `_variable_stack`).
     """
     mode = _mode(params, config)
     if params.depth != config.n:
@@ -125,9 +136,52 @@ def _stacks(params, config, sf):
         lam, rows = complex(params.lam), max(k, 1)
         B, SB = _kernels.beta_fixed_grid(sf + (rows - 1), lam, config.n + rows - 1, rows)
         return mode, lam, B, SB
-    stack = np.concatenate([sf + m for m in range(k + 1)])
-    vals, st = _kernels.beta_variable_grid(stack, config.n)
-    return mode, None, vals.reshape(k + 1, sf.size), st.reshape(k + 1, sf.size)
+    return mode, None, *_variable_stack(sf, config.n, k)
+
+
+def _variable_stack(sf, n, k):
+    """(B, SB): rows 0..k of the variable beta stack over sf.
+
+    A real point (Im s = 0, Re s > -1) runs its rows in float64, and beta
+    rises with t along them: every level's exponent (j - t)/sqrt(1 + t)
+    falls as t grows, so every iterate rises.  Once its row r trips the
+    overflow guard, every row above r does too, and the descent reads none
+    of their values (see `_step`).  So a real point's rows stop at r, and
+    the rows above are copies of row r: its status and kept iterate, as the
+    kernel fills the rows after a point stops.  (NaN rows would cost a
+    one-point descent about 30 us: numpy takes a slower path after each
+    operation that raises the invalid flag.)
+
+    The first kernel call runs rows 0.._REAL_ROWS-1 of the real points and
+    every row of the others; a second runs the rest only for the real
+    points with no failure in those rows.  Both calls take their rows
+    row-major, so a batch with no real point makes one call on the same
+    stack as all k + 1 rows of sf.
+    """
+    real = (sf.imag == 0) & (sf.real > -1)
+    low, other = min(k + 1, _REAL_ROWS), ~real
+    s_other = sf[other]
+    vals, st = _kernels.beta_variable_grid(np.concatenate(
+        [sf + m for m in range(low)] + [s_other + m for m in range(low, k + 1)]), n)
+    B = np.zeros((k + 1, sf.size), np.complex128)
+    SB = np.zeros((k + 1, sf.size), np.int8)
+    cut = low * sf.size
+    B[:low], SB[:low] = vals[:cut].reshape(low, -1), st[:cut].reshape(low, -1)
+    if low <= k:
+        B[low:, other] = vals[cut:].reshape(k + 1 - low, s_other.size)
+        SB[low:, other] = st[cut:].reshape(k + 1 - low, s_other.size)
+        more = real & (SB[:low] == OK).all(axis=0)
+        if more.any():
+            vals, st = _kernels.beta_variable_grid(
+                np.concatenate([sf[more] + m for m in range(low, k + 1)]), n)
+            B[low:, more] = vals.reshape(k + 1 - low, -1)
+            SB[low:, more] = st.reshape(k + 1 - low, -1)
+    # copy a real point's first row that is not OK into every row above it,
+    # which for a point that failed below low include the unset rows low..k
+    bad = SB != OK
+    first = np.where(real & bad.any(axis=0), bad.argmax(axis=0), k)
+    src = np.minimum(np.arange(k + 1)[:, None], first)
+    return np.take_along_axis(B, src, 0), np.take_along_axis(SB, src, 0)
 
 
 class _Rows(NamedTuple):

@@ -114,6 +114,11 @@ CASES = {
                                  np.linspace(-5.95, -5.9, 11), [-1.0]]),
                  _BELOW_TOP | {"G cut", "top literal", "top literal, argument on the cut",
                                "top G", "top defect"}),
+    # real points, whose stack stops at their first row that is not OK: the
+    # rows above it are copies of it, short-circuited (nonfinite for s = inf)
+    "variable-real": (BetaParams(lam="variable", depth=100), TauConfig(100, 20, "variable_lambda"),
+                      np.concatenate([np.linspace(-0.95, 3.0, 80), [-0.999999, 700.0, math.inf]]),
+                      {"literal", "defect", "cut", "beta status", "top defect"}),
 }
 
 

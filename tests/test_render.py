@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from betatet import Overlay, RenderSpec, export_real_line, render_hue, singular_lattice
-from betatet.render import GRAY, _apply_overlay, colorize, pixel_grid, write_csv
+from betatet.errors import OK, STATUS_NAMES
+from betatet.render import GRAY, _apply_overlay, _evaluate_fn, colorize, pixel_grid, write_csv
 
 LOG2 = math.log(2.0)
 
@@ -172,6 +173,37 @@ def test_export_failures_are_marker_rows(tmp_path, high_model):
     assert text[0] == "x,re,im,status"
     assert len(text) == 13
     assert any("branch_cut" in line for line in text[1:])
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # one string written once gives csv.writer's bytes: every status name, failed
+    # rows, and the floats whose repr is unusual
+    import csv
+
+    odd = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 0.1, -2.6]
+    rows = [(x, complex(y, x), st) for x, y, st in zip(odd, reversed(odd), STATUS_NAMES.values())]
+    rows += [(x, None, st) for x, st in zip(odd, STATUS_NAMES.values())]
+    out, ref = tmp_path / "line.csv", tmp_path / "ref.csv"
+    write_csv(rows, out)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "re", "im", "status"])
+        for x, v, st in rows:
+            writer.writerow([repr(x), "nan", "nan", st] if v is None
+                            else [repr(x), repr(v.real), repr(v.imag), st])
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_export_rows_are_python_scalars():
+    # rows built from .tolist() equal a per-element conversion, element types included
+    rows = export_real_line("tet", lo=-2.6, hi=3.0, samples=57, depth=25, tau_depth=5)
+    xs = np.linspace(-2.6, 3.0, 57)
+    values, status = _evaluate_fn("tet", None, 25, 5, None, xs.astype(np.complex128))
+    want = [(float(x), complex(v) if int(st) == OK else None, STATUS_NAMES[int(st)])
+            for x, v, st in zip(xs, values, status)]
+    assert {st for _, _, st in rows} > {"ok"}
+    assert rows == want
+    assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
 
 
 def test_export_validates_samples():

@@ -16,6 +16,7 @@ from betatet import (
     beta_grid,
     tau_grid,
 )
+from betatet.acceptance import circle_mean_ok
 from betatet.errors import OK
 
 LOG2 = math.log(2.0)
@@ -198,6 +199,20 @@ def _gate(num, den, ok):
     return (np.abs(num)[ok] / np.maximum(1.0, np.abs(den[ok]))).max()
 
 
+@pytest.mark.parametrize("lam", [
+    pytest.param(LOG2, id="log2", marks=pytest.mark.xfail(
+        strict=True, reason="the circle mean holds at 406 of 720 centres (0.564)")),
+    pytest.param(0.5 + 3j, id="0.5+3i", marks=pytest.mark.xfail(
+        strict=True, reason="the circle mean holds at 227 of 720 centres (0.315)")),
+])
+def test_fixed_F_circle_mean(lam):
+    # at each centre of a 36 x 20 grid over [0.5, 4] x [-1, 1], the mean of F at
+    # (25, 5) over 64 points of |s - c| = 0.05 is F(c) to 1e-8 max(1, |F(c)|)
+    params = BetaParams(lam=lam, depth=25)
+    assert circle_mean_ok(lambda z: F_grid(params, TauConfig(25, 5), z),
+                          _grid((0.5, 4.0, -1.0, 1.0), (36, 20)), r=0.05, nodes=64).all()
+
+
 @pytest.mark.parametrize("lam,n,k", _GATES)
 def test_fixed_F_converges_in_k(lam, n, k):
     params = BetaParams(lam=lam, depth=n)
@@ -293,3 +308,75 @@ def test_tau_far_right_is_minus_log1p(lam, s, u):
     assert st[0] == OK
     ref = complex(mpmath.log1p(u))
     assert abs(vals[0] + ref) <= 1e-13 * abs(ref)
+
+
+# real points of the variable stack: the 3,501 reals of [-5, 30] and edge points
+# on both sides of s = -1, where the float64 route and the row cut start
+_STACK_REALS = np.concatenate([np.linspace(-5, 30, 3501),
+                               [-1, -1.5, -0.999999, np.inf, -np.inf, np.nan, 1e300, 700]])
+
+
+def _stack_sets(x0):
+    rng = np.random.default_rng(5)
+    strip = np.linspace(x0 - 1, x0, 2501)[1:]
+    mixed = np.concatenate([_STACK_REALS[::7], rng.uniform(-3, 6, 300) + 1j * rng.uniform(-2, 2, 300)])
+    rng.shuffle(mixed)
+    return {"strip": strip, "reals": _STACK_REALS, "mixed": mixed}
+
+
+@pytest.mark.parametrize("n,k", [(25, 5), (100, 20), (8, 5), (25, 0), (25, 1)])
+def test_variable_stack_stops_real_points_at_their_first_failed_row(n, k, high_model):
+    # beta rises along a real point's rows, so once a row is not OK every row
+    # above it fails too: the cut stack holds the statuses of all k + 1 rows
+    # run in full, the values wherever it ran a row, and above a real point's
+    # first failed row copies of that row
+    params, config = BetaParams(lam="variable", depth=n), TauConfig(n, k)
+    for name, pts in _stack_sets(high_model.x0).items():
+        sf = pts.astype(np.complex128)
+        _, _, B, SB = tau._stacks(params, config, sf)
+        vals, st = _kernels.beta_variable_grid(np.concatenate([sf + m for m in range(k + 1)]), n)
+        ref, rst = vals.reshape(k + 1, sf.size), st.reshape(k + 1, sf.size)
+        real = (sf.imag == 0) & (sf.real > -1)
+        bad = rst != OK
+        assert np.array_equal(np.logical_or.accumulate(bad, axis=0)[:, real], bad[:, real]), name
+        assert np.array_equal(SB, rst), name
+        first = np.where(real & bad.any(axis=0), bad.argmax(axis=0), k)
+        ran = np.arange(k + 1)[:, None] <= first
+        assert B[ran].tobytes() == ref[ran].tobytes(), name
+        assert np.array_equal(B, B[np.minimum(np.arange(k + 1)[:, None], first),
+                                    np.arange(sf.size)], equal_nan=True), name
+        # the descent reads no copied row: tau and F match the full stack's bits
+        cut = tau._descend(sf, k, "variable", None, B, SB)
+        full = tau._descend(sf, k, "variable", None, ref, rst)
+        assert [a.tobytes() for a in cut] == [a.tobytes() for a in full], name
+
+
+def _spy_kernel(monkeypatch):
+    calls = []
+    real_kernel = _kernels.beta_variable_grid
+
+    def spy(s, depth):
+        calls.append(np.array(s, copy=True))
+        return real_kernel(s, depth)
+
+    monkeypatch.setattr(_kernels, "beta_variable_grid", spy)
+    return calls
+
+
+def test_real_tet_line_runs_six_stack_rows(high_model, monkeypatch):
+    # every real point of the tet base strip fails by row 5: one kernel call of
+    # 6 rows for a 2,500-sample line at high instead of 21
+    from betatet.tetration import tet_grid
+
+    calls = _spy_kernel(monkeypatch)
+    tet_grid(high_model, np.linspace(-1.9, 2.0, 2500))
+    assert [c.size for c in calls] == [6 * 2500]
+
+
+def test_complex_batch_runs_the_full_row_major_stack(high_model, monkeypatch):
+    # a batch with no real point makes one call on the row-major stack of all k + 1 rows
+    calls = _spy_kernel(monkeypatch)
+    sf = np.linspace(0.5, 1.5, 300) + 1j * np.linspace(0.1, 2.0, 300)
+    F_grid(high_model.params, high_model.config, sf)
+    want = np.concatenate([sf + m for m in range(high_model.k + 1)])
+    assert len(calls) == 1 and calls[0].tobytes() == want.tobytes()
