@@ -50,8 +50,9 @@ def _resolution(text):
     return (int(m.group(1)), int(m.group(2)))
 
 
-# let option values like "-1,1,-1,1" or "-40" or "-1+2i" pass as values
-_NEGATIVE_VALUE = re.compile(r"^-\d[\d.,+\-eEij]*$")
+# let option values like "-1,1,-1,1", "-40", "-1+2i", "-.5", "-i" or "-inf"
+# pass as values
+_NEGATIVE_VALUE = re.compile(r"^-(?:\.?\d|inf|nan|[ij]$)[\d.,+\-eijnaf]*$", re.IGNORECASE)
 
 
 def _permissive(parser):

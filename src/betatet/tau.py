@@ -43,6 +43,15 @@ first row that is not OK (`_variable_stack`): the rows above it would only
 short-circuit, and a short-circuited row m + 1 reduces level m to the
 defect whatever its value, so they are copies of that row.
 
+So the descent does not start at the top when the top rows are
+short-circuit at every point of the batch: it starts at the level m0 below
+the lowest such row, from the defect D[m0] alone, and runs only levels
+m0 - 1..0.  That is exact, not a cut-off: each level above m0 would return
+its defect D[m] whatever it carried, leave the status OK and take no G
+representation.  A real point at the high profile fails at row 4 or 5, so a
+batch of them runs at most 4 levels instead of 19; a batch with any point
+whose top row is not short-circuit (every render) runs them all.
+
 F(s) = beta(s) + tau(s) satisfies F(s+1) = e^{F(s)} level-exactly.
 """
 
@@ -198,10 +207,11 @@ class _Rows(NamedTuple):
 
 
 def _rows(sf, j, lam, B, SB):
-    """_Rows of a depth-j descent over sf: the terms that do not depend on the
-    carried value.  The masks come from one pass over the stack, the defect
-    from one per block of levels: on a large batch, one level per pass keeps
-    each call's arrays as small as a plain level loop's."""
+    """_Rows of the levels 0..j-1 of a descent over sf, on the stack rows they
+    read: the terms that do not depend on the carried value.  The masks come
+    from one pass over the stack, the defect from one per block of levels: on
+    a large batch, one level per pass keeps each call's arrays as small as a
+    plain level loop's."""
     size = _kernels._block_length(sf.size)
     D = [d for m in range(0, j, size)
          for d in _defect(sf + np.arange(m, min(m + size, j), dtype=sf.dtype)[:, None], lam)]
@@ -238,7 +248,15 @@ def _step(T, grep, status, rows, m, ratio):
 
 
 def _descend(sf, j, mode, lam, B, SB):
-    """One full descent for tau^j; returns (tau, tau_status, F, F_status) over sf.
+    """One descent for tau^j; returns (tau, tau_status, F, F_status) over sf.
+
+    The descent starts at the lowest level m0 whose upper stack rows
+    m0 + 1 .. top are SHORT_CIRCUIT at every point (the top row is the
+    stack's last: j for variable lambda, j - 1 for fixed), from T = D[m0]
+    with no G representation.  That is exact: the top rule gives D[j - 1]
+    where its row is not OK, and `_step` on a live, non-G point whose upper
+    row is short-circuited gives D[m] whatever T is, with status and G flag
+    unchanged, so every point enters level m0 - 1 as the full descent would.
 
     F is beta(s) + tau(s) assembled without re-subtracting when the G
     representation is active.
@@ -248,12 +266,18 @@ def _descend(sf, j, mode, lam, B, SB):
     if j == 0:
         return np.zeros(npts, np.complex128), status, B[0], SB[0]
     grep = np.zeros(npts, bool)
+    # rows q..top are short-circuit at every point; the variable top rule runs
+    # unless row j is one of them
+    q = len(SB)
+    while q > 0 and (SB[q - 1] == SHORT_CIRCUIT).all():
+        q -= 1
+    top = mode == "variable" and q > j
+    m0 = j - 1 if top else max(q - 1, 0)
+    read = j + 1 if top else m0 + 1
     with np.errstate(all="ignore"):
-        rows = _rows(sf, j, lam, B, SB)
-        d = rows.D[j - 1]
-        if mode == "fixed":
-            T = d
-        else:
+        rows = _rows(sf, m0 + 1, lam, B[:read], SB[:read])
+        T = rows.D[m0]
+        if top:
             # not _step from tau = 0: its cut test would short-circuit a beta(s+j)
             # that underflowed to a denormal (finite log, taken by the literal) or
             # to zero beside a huge beta(s+j-1) (defect here): 864 of the 52,992
@@ -261,9 +285,9 @@ def _descend(sf, j, mode, lam, B, SB):
             ok, huge = rows.ok[j], rows.huge[j - 1]
             L = np.log(np.where(ok, B[j], 1.0))
             grep = ok & huge & ~_on_cut(B[j])
-            T = np.where(ok & ~huge, L - B[j - 1], np.where(grep, L, d))
+            T = np.where(ok & ~huge, L - B[j - 1], np.where(grep, L, T))
 
-        for m in range(j - 2, -1, -1):
+        for m in range(m0 - 1, -1, -1):
             T, grep = _step(T, grep, status, rows, m, mode == "fixed")
 
         # assemble tau and F; in G representation F is the carried value itself,

@@ -1,0 +1,33 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bitsets.py"
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_bitsets_reports_a_perturbed_array(tmp_path):
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    dumped = _run("dump", ROOT, a, "--quick")
+    assert dumped.returncode == 0, dumped.stderr
+    same = _run("compare", a, a)
+    with np.load(a) as arrays:
+        saved = dict(arrays)
+    assert same.returncode == 0 and same.stdout == f"0 of {len(saved)} arrays differ\n"
+    assert {"x0.default", "x0.high", "tet.high.line.v", "F.variable.100-20.strip.st",
+            "tau.0.5+3i.25-5.window.v"} <= saved.keys()
+    # flip the lowest bit of one value: the bytes differ, the value hardly
+    name = "F.variable.100-20.strip.v"
+    saved[name] = saved[name].copy()
+    saved[name].view(np.int64)[0] ^= 1
+    np.savez(b, **saved)
+    differ = _run("compare", a, b)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == [name, f"1 of {len(saved)} arrays differ"]

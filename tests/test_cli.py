@@ -160,6 +160,35 @@ def test_plot_writes_ppm(tmp_path, capsys):
     assert len(raw) == len(b"P6\n32 24\n255\n") + 32 * 24 * 3
 
 
+@pytest.mark.parametrize("short,long", [("-.5", "-0.5"), ("-.5+1i", "-0.5+1i"), ("-i", "0-1i"),
+                                        ("-j", "0-1i")])
+def test_eval_takes_a_negative_value_with_no_digit_after_the_minus(short, long, capsys):
+    # argparse used to read these as options: exit 2, "expected one argument"
+    assert main(["eval", "tet", "--s", short]) == 0
+    got = capsys.readouterr().out
+    assert main(["eval", "tet", "--s", long]) == 0
+    assert got == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value,signal", [("-inf", "BranchCut"), ("-nan", "NonFinite")])
+def test_eval_takes_minus_inf_and_nan(value, signal, capsys):
+    assert main(["eval", "tet", "--s", value]) == 1
+    assert capsys.readouterr().err.startswith(f"{signal}:")
+
+
+@pytest.mark.parametrize("short,long", [
+    (["line", "--fn", "tet", "--from", "-.5", "--to", "1", "--samples", "5"],
+     ["line", "--fn", "tet", "--from", "-0.5", "--to", "1", "--samples", "5"]),
+    (["plot", "--fn", "tet", "--window", "-.5,1,-1,1", "--res", "4x3"],
+     ["plot", "--fn", "tet", "--window", "-0.5,1,-1,1", "--res", "4x3"]),
+], ids=["line-from", "plot-window"])
+def test_line_and_plot_take_a_leading_minus_dot(short, long, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(short + ["--out", str(a)]) == 0
+    assert main(long + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_line_writes_csv(tmp_path, capsys):
     out = tmp_path / "tet.csv"
     rc = main(["line", "--fn", "tet", "--from", "-1.9", "--to", "2",

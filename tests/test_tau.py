@@ -380,3 +380,87 @@ def test_complex_batch_runs_the_full_row_major_stack(high_model, monkeypatch):
     F_grid(high_model.params, high_model.config, sf)
     want = np.concatenate([sf + m for m in range(high_model.k + 1)])
     assert len(calls) == 1 and calls[0].tobytes() == want.tobytes()
+
+
+def _full_descent(sf, j, mode, lam, B, SB):
+    """The descent run from its top level over every stack row: the reference
+    for `tau._descend`, which starts below the rows that are all short-circuit."""
+    status = np.zeros(sf.size, np.int8)
+    if j == 0:
+        return np.zeros(sf.size, np.complex128), status, B[0], SB[0]
+    grep = np.zeros(sf.size, bool)
+    with np.errstate(all="ignore"):
+        rows = tau._rows(sf, j, lam, B, SB)
+        T = rows.D[j - 1]
+        if mode == "variable":
+            ok, huge = rows.ok[j], rows.huge[j - 1]
+            L = np.log(np.where(ok, B[j], 1.0))
+            grep = ok & huge & ~tau._on_cut(B[j])
+            T = np.where(ok & ~huge, L - B[j - 1], np.where(grep, L, T))
+        for m in range(j - 2, -1, -1):
+            T, grep = tau._step(T, grep, status, rows, m, mode == "fixed")
+        bad = (status == OK) & ~rows.ok[0]
+        own = (status != OK) & rows.poison[0]
+        tstat = np.where((bad & grep) | own, SB[0], status)
+        fstat = np.where(bad | own, SB[0], status)
+    return np.where(grep, T - B[0], T), tstat, np.where(grep, T, B[0] + T), fstat
+
+
+# x0 at both profiles: the bit test below takes its base strip from it, so a
+# descent fault fails that test, not only the calibration of its model
+_X0 = 1.9696377404205747
+
+
+def test_x0_at_both_profiles(default_model, high_model):
+    assert default_model.x0 == high_model.x0 == _X0
+
+
+@pytest.mark.parametrize("lam,n,k", [
+    *(("variable", n, k) for n, k in [(25, 5), (100, 20), (8, 5), (25, 0), (25, 1)]),
+    *((lam, 25, k) for lam in (LOG2, 0.5 + 3j) for k in (5, 1)),
+])
+def test_descent_start_level_keeps_every_bit(lam, n, k):
+    # tau, F and both statuses match the full descent byte for byte on each set,
+    # on its runs of 50 consecutive points and on its first 50 points one by
+    # one: a batch starts lower only where all its points' upper rows short-circuit
+    params, config = BetaParams(lam=lam, depth=n), TauConfig(n, k)
+    rng = np.random.default_rng(11)
+    sets = {**_stack_sets(_X0),
+            "complex": rng.uniform(-3, 6, 500) + 1j * rng.uniform(-2, 2, 500)}
+    for name, pts in sets.items():
+        sf = pts.astype(np.complex128)
+        for part in [sf, *np.split(sf, range(50, sf.size, 50)), *np.split(sf[:50], 50)]:
+            stack = tau._stacks(params, config, part)
+            got, want = tau._descend(part, k, *stack), _full_descent(part, k, *stack)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], name
+
+
+def _spy_steps(monkeypatch):
+    levels = []
+    step = tau._step
+
+    def spy(T, grep, status, rows, m, ratio):
+        levels.append(m)
+        return step(T, grep, status, rows, m, ratio)
+
+    monkeypatch.setattr(tau, "_step", spy)
+    return levels
+
+
+def test_real_tet_line_runs_four_descent_levels(high_model, monkeypatch):
+    # the base-strip rows are short-circuited from row 4 or 5 up to row 20, so
+    # the descent starts at level 4 and steps 3..0 instead of 18..0
+    from betatet.tetration import tet_grid
+
+    levels = _spy_steps(monkeypatch)
+    tet_grid(high_model, np.linspace(-1.9, 2.0, 2500))
+    assert levels == [3, 2, 1, 0]
+
+
+def test_complex_batch_with_an_ok_top_row_runs_every_level(high_model, monkeypatch):
+    sf = np.linspace(0.5, 1.5, 300) + 1j * np.linspace(0.1, 2.0, 300)
+    *_, SB = tau._stacks(high_model.params, high_model.config, sf)
+    assert (SB[-1] == OK).any()
+    levels = _spy_steps(monkeypatch)
+    F_grid(high_model.params, high_model.config, sf)
+    assert levels == list(range(high_model.k - 2, -1, -1))

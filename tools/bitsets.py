@@ -1,0 +1,142 @@
+"""Bit-for-bit check of betatet's values and statuses between two checkouts.
+
+    python tools/bitsets.py dump SRC OUT.npz [--quick]
+    python tools/bitsets.py compare A.npz B.npz
+
+`dump` imports the betatet package of the checkout SRC (its src/ directory)
+and saves each evaluation below to OUT.npz, values and statuses as separate
+arrays.  Run it once per checkout, each in its own process, then `compare`,
+which lists the arrays whose dtype, shape or bytes differ and exits 1 if any
+do.  `--quick` keeps 12 evenly spaced points of each set.
+
+The evaluations:
+* x0 and tet_grid at both profiles on the render_tet pixel grid (144 x 92
+  over (-1.55, 2.05, -0.25, 2.05)), 5,000 seeded points of [-6, 6]x[-3, 3],
+  the 4,001-point line [-1.9, 2] and one-point calls; slog_grid on
+  linspace(0, 2.7, 271);
+* variable tau_grid and F_grid at (n, k) = (25, 5), (100, 20), (8, 5),
+  (25, 0), (25, 1) on a real set (3,501 points of [-5, 30] and edge points),
+  500 seeded complex points of [-3, 6]x[-2, 2], a shuffled mix of both and
+  2,500 points of the tet base strip;
+* fixed-lambda tau_grid and F_grid at lambda = log 2, 0.5+3i and 0.25 and
+  (n, k) = (25, 5), (25, 1), (100, 20) on the real, complex and mixed sets
+  and the render_fixed pixel grid (142 x 82 over (0.475, 4.025, -1.025,
+  1.025)).
+"""
+
+import argparse
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+VARIABLE_DEPTHS = [(25, 5), (100, 20), (8, 5), (25, 0), (25, 1)]
+FIXED_DEPTHS = [(25, 5), (25, 1), (100, 20)]
+FIXED_LAMBDAS = {"log2": math.log(2.0), "0.5+3i": 0.5 + 3j, "0.25": 0.25}
+ONE_POINT = [0.3, 0.3 + 0.4j, -0.5 + 0.5j, 1.5, -1.5 + 0.2j, 2.5 + 1j, -2.5, 1.9 - 0.1j]
+TET_WINDOW, TET_RES = (-1.55, 2.05, -0.25, 2.05), (144, 92)
+FIXED_WINDOW, FIXED_RES = (0.475, 4.025, -1.025, 1.025), (142, 82)
+QUICK_POINTS = 12
+
+
+def _point_sets(pixel_grid, RenderSpec, quick):
+    rng = np.random.default_rng(2020)
+
+    def box(count, re, im):
+        return rng.uniform(*re, count) + 1j * rng.uniform(*im, count)
+
+    reals = np.concatenate([np.linspace(-5, 30, 3501),
+                            [-1, -1.5, -0.999999, np.inf, -np.inf, np.nan, 1e300, 700]])
+    mixed = np.concatenate([reals[::7], box(300, (-3, 6), (-2, 2))])
+    rng.shuffle(mixed)
+    sets = {
+        "render": pixel_grid(RenderSpec(window=TET_WINDOW, resolution=TET_RES, fn="tet")),
+        "box": box(5000, (-6, 6), (-3, 3)),
+        "line": np.linspace(-1.9, 2.0, 4001),
+        "slog": np.linspace(0.0, 2.7, 271),
+        "real": reals,
+        "complex": box(500, (-3, 6), (-2, 2)),
+        "mixed": mixed,
+        # the tet base strip (x0 - 1, x0], x0 = 1.9696377404205747 at both profiles
+        "strip": np.linspace(0.9696377404205747, 1.9696377404205747, 2501)[1:],
+        "window": pixel_grid(RenderSpec(window=FIXED_WINDOW, resolution=FIXED_RES, fn="F",
+                                        lam=FIXED_LAMBDAS["log2"])),
+    }
+    if quick:
+        sets = {name: pts.ravel()[np.linspace(0, pts.size - 1, QUICK_POINTS).astype(int)]
+                for name, pts in sets.items()}
+    return sets
+
+
+def dump(src, out, quick=False):
+    root = Path(src).resolve()
+    sys.path.insert(0, str(root / "src"))
+    import betatet
+    from betatet import VARIABLE, BetaParams, F_grid, TauConfig, tau_grid
+    from betatet.render import RenderSpec, pixel_grid
+    from betatet.tetration import get_model, slog_grid, tet_grid
+
+    if root not in Path(betatet.__file__).resolve().parents:
+        raise SystemExit(f"betatet was imported from {betatet.__file__}, not from {root}")
+    sets = _point_sets(pixel_grid, RenderSpec, quick)
+    arrays = {}
+
+    def put(name, result):
+        arrays[f"{name}.v"], arrays[f"{name}.st"] = (np.asarray(a) for a in result)
+
+    for profile in ("default", "high"):
+        model = get_model(profile)
+        arrays[f"x0.{profile}"] = np.array(model.x0)
+        for name in ("render", "box", "line"):
+            put(f"tet.{profile}.{name}", tet_grid(model, sets[name]))
+        put(f"tet.{profile}.one_point",
+            map(np.array, zip(*(tet_grid(model, complex(s)) for s in ONE_POINT))))
+        put(f"slog.{profile}", slog_grid(model, sets["slog"]))
+    families = [("variable", VARIABLE, VARIABLE_DEPTHS, ("real", "complex", "mixed", "strip"))]
+    families += [(name, lam, FIXED_DEPTHS, ("real", "complex", "mixed", "window"))
+                 for name, lam in FIXED_LAMBDAS.items()]
+    for family, lam, depths, names in families:
+        for n, k in depths:
+            params, config = BetaParams(lam=lam, depth=n), TauConfig(n=n, k=k)
+            for name in names:
+                put(f"tau.{family}.{n}-{k}.{name}", tau_grid(params, config, sets[name]))
+                put(f"F.{family}.{n}-{k}.{name}", F_grid(params, config, sets[name]))
+    np.savez(out, **arrays)
+    print(f"{len(arrays)} arrays from {root} to {out}")
+
+
+def compare(a, b):
+    """Names of the arrays that differ between dumps a and b (or are in one only)."""
+    with np.load(a) as A, np.load(b) as B:
+        names = sorted(set(A.files) | set(B.files))
+        differ = [name for name in names
+                  if name not in A.files or name not in B.files
+                  or A[name].dtype != B[name].dtype or A[name].shape != B[name].shape
+                  or A[name].tobytes() != B[name].tobytes()]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(names)} arrays differ")
+    return differ
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="evaluate the sets with the package of checkout SRC")
+    p.add_argument("src")
+    p.add_argument("out")
+    p.add_argument("--quick", action="store_true",
+                   help=f"keep {QUICK_POINTS} points of each set")
+    p = sub.add_parser("compare", help="list the arrays whose bytes differ")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.src, args.out, args.quick)
+        return 0
+    return 1 if compare(args.a, args.b) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
