@@ -21,8 +21,12 @@ def test_bitsets_reports_a_perturbed_array(tmp_path):
     with np.load(a) as arrays:
         saved = dict(arrays)
     assert same.returncode == 0 and same.stdout == f"0 of {len(saved)} arrays differ\n"
-    assert {"x0.default", "x0.high", "tet.high.line.v", "F.variable.100-20.strip.st",
+    assert {"x0.default", "x0.high", "table_v.default", "table_v.high", "tet.high.line.v",
+            "tet.default.render.shift3.v", "tet.high.render.shift0.st",
+            "tet.default.repeats.v", "tet.high.repeats.st", "F.variable.100-20.strip.st",
             "tau.0.5+3i.25-5.window.v"} <= saved.keys()
+    # the repeats keep their repeats and +-0 twins under --quick
+    assert saved["tet.default.repeats.v"].size > 12
     # flip the lowest bit of one value: the bytes differ, the value hardly
     name = "F.variable.100-20.strip.v"
     saved[name] = saved[name].copy()

@@ -22,6 +22,7 @@ from betatet.acceptance import (_grid, cauchy_riemann_ok, circle_mean_ok, crit_b
 from betatet.beta import beta_grid, f_grid, g_grid
 from betatet.errors import (_STATUS_EXC, OK, BRANCH_CUT, DOMAIN, NO_CONVERGENCE, NONFINITE,
                             SHORT_CIRCUIT)
+from betatet.render import RenderSpec, pixel_grid
 from betatet.tau import F_grid, tau_grid
 
 
@@ -303,6 +304,75 @@ def test_grid_keeps_input_shape(default_model, name):
         assert v.shape == st.shape == np.shape(Z)
         assert v.tobytes() == ref_v[:v.size].tobytes()
         assert st.tobytes() == ref_s[:st.size].tobytes()
+
+
+def _f_line_spy(monkeypatch):
+    """The point arrays tet_grid hands to _f_line, in call order."""
+    seen = []
+    real_f_line = tetration._f_line
+
+    def spy(xs, n, k):
+        seen.append(np.array(xs, np.complex128))
+        return real_f_line(xs, n, k)
+
+    monkeypatch.setattr(tetration, "_f_line", spy)
+    return seen
+
+
+def _bit_patterns(z):
+    return {w.tobytes() for w in np.asarray(z, np.complex128).reshape(-1, 1)}
+
+
+def test_f_runs_once_per_distinct_strip_point(default_model, monkeypatch):
+    # the render_tet grid has 40 px per unit, so its strip points repeat
+    # across periods; each pixel column has one step count and skips the sort
+    Z = pixel_grid(RenderSpec(window=(-1.55, 2.05, -0.25, 2.05), resolution=(144, 92),
+                              fn="tet"))
+    seen = _f_line_spy(monkeypatch)
+    v, st = tet_grid(default_model, Z)
+    [xs] = seen
+    assert len(_bit_patterns(xs)) == xs.size < Z.size
+    assert _bit_patterns(xs) == _bit_patterns(Z - np.ceil(Z.real) + default_model.x0)
+    columns = [tet_grid(default_model, Z[:, j]) for j in range(Z.shape[1])]
+    assert [c.size for c in seen[1:]] == [Z.shape[0]] * Z.shape[1]
+    assert v.tobytes() == np.stack([c[0] for c in columns], axis=1).tobytes()
+    assert st.tobytes() == np.stack([c[1] for c in columns], axis=1).tobytes()
+
+
+def test_tet_grid_of_repeats_matches_one_point_calls(default_model, monkeypatch):
+    re = np.arange(-16, 16) / 16.0      # dyadic: s + j reduces to the strip exactly
+    pts = np.concatenate([re + j for j in (-1, 0, 2)] + [re[::3] + 0.5j + j for j in (0, 1)])
+    minus_zero = re[::4] + 0j
+    minus_zero.imag = -0.0
+    nan = np.array([0x7FF8000000000001, 0x7FF8000000000002], np.int64).view(np.float64)
+    odd = [complex(nan[0], 0.0), complex(nan[1], 0.0), np.inf, -np.inf, complex(np.inf, 1.0),
+           -2.0, -3.5, complex(-2.5, -0.0)]
+    Z = np.concatenate([pts, pts[::4], minus_zero, odd])
+    np.random.default_rng(22).shuffle(Z)
+    assert len(_bit_patterns(Z[np.isnan(Z.real)])) == 2
+    seen = _f_line_spy(monkeypatch)
+    v, st = tet_grid(default_model, Z)
+    # F sees each bit pattern once: the NaN payloads stay apart
+    on_cut = (Z.real <= -2.0) & (Z.imag == 0.0)
+    steps = np.where(np.isfinite(Z) & ~on_cut, np.ceil(Z.real), 0.0)
+    strip = _bit_patterns(Z - steps + default_model.x0)
+    assert _bit_patterns(seen[0]) == strip and len(strip) == seen[0].size < Z.size
+    assert {BRANCH_CUT, NONFINITE, OK} <= set(st.tolist())
+    for z, vz, sz in zip(Z, v, st):
+        one_v, one_st = tet_grid(default_model, z)
+        assert one_v.tobytes() == vz.tobytes() and one_st.tobytes() == sz.tobytes(), z
+
+
+@pytest.mark.parametrize("Z", [0.7 + 0.2j, [0.3, 0.3 + 1e-6, 0.3 - 1e-6],
+                               [-1.2 + 0.5j, -1.7, -1.2 + 0.5j]],
+                         ids=["one-point", "stencil", "one-step-count"])
+def test_one_step_count_reaches_f_unsorted(default_model, monkeypatch, Z):
+    # no repeat can come from the reduction: F gets the input's own strip points in order
+    Z = np.ravel(np.asarray(Z, np.complex128))
+    seen = _f_line_spy(monkeypatch)
+    tet_grid(default_model, Z)
+    [xs] = seen
+    assert xs.tobytes() == (Z - np.ceil(Z.real) + default_model.x0).tobytes()
 
 
 def _newton_reference(model, target):

@@ -7,13 +7,17 @@
 and saves each evaluation below to OUT.npz, values and statuses as separate
 arrays.  Run it once per checkout, each in its own process, then `compare`,
 which lists the arrays whose dtype, shape or bytes differ and exits 1 if any
-do.  `--quick` keeps 12 evenly spaced points of each set.
+do.  `--quick` keeps 12 evenly spaced points of each set but the repeats,
+which it keeps whole.
 
 The evaluations:
-* x0 and tet_grid at both profiles on the render_tet pixel grid (144 x 92
-  over (-1.55, 2.05, -0.25, 2.05)), 5,000 seeded points of [-6, 6]x[-3, 3],
-  the 4,001-point line [-1.9, 2] and one-point calls; slog_grid on
-  linspace(0, 2.7, 271);
+* x0, the calibration table's values and tet_grid at both profiles on the
+  render_tet pixel grid (144 x 92 over (-1.55, 2.05, -0.25, 2.05)), that
+  grid moved by four seeded sub-pixel offsets, 5,000 seeded points of
+  [-6, 6]x[-3, 3], the 4,001-point line [-1.9, 2], a shuffled set of
+  repeats (the same point several periods apart and twice over, x+0j beside
+  x-0j, two NaN payloads, +-inf and points on the cut) and one-point calls;
+  slog_grid on linspace(0, 2.7, 271);
 * variable tau_grid and F_grid at (n, k) = (25, 5), (100, 20), (8, 5),
   (25, 0), (25, 1) on a real set (3,501 points of [-5, 30] and edge points),
   500 seeded complex points of [-3, 6]x[-2, 2], a shuffled mix of both and
@@ -38,6 +42,28 @@ ONE_POINT = [0.3, 0.3 + 0.4j, -0.5 + 0.5j, 1.5, -1.5 + 0.2j, 2.5 + 1j, -2.5, 1.9
 TET_WINDOW, TET_RES = (-1.55, 2.05, -0.25, 2.05), (144, 92)
 FIXED_WINDOW, FIXED_RES = (0.475, 4.025, -1.025, 1.025), (142, 82)
 QUICK_POINTS = 12
+SHIFT_SEED = 22
+
+
+def _repeats(rng):
+    """Points whose strip points s - ceil(Re s) + x0 repeat, shuffled.
+
+    Dyadic real parts keep s + j - ceil(Re s + j) exact, so each point comes
+    back shifted by j = -1, 1 and 3 periods; every fifth comes twice, and
+    each real one with -0.0 in place of its zero imaginary part.  Two NaN
+    payloads, +-inf and points on the cut (-inf, -2] ride along.
+    """
+    re = np.arange(-32, 32) / 32.0
+    base = np.concatenate([re + 0.0j, re[::4] + 0.25j, re[::8] - 0.5j])
+    pts = np.concatenate([base + j for j in (-1, 0, 1, 3)])
+    twins = pts[pts.imag == 0].copy()
+    twins.imag = -0.0
+    nan = np.array([0x7FF8000000000001, 0x7FF8000000000002], np.int64).view(np.float64)
+    odd = [complex(nan[0], 0.0), complex(nan[1], 0.0), complex(0.5, nan[0]),
+           np.inf, -np.inf, complex(np.inf, 1.0), -2.0, -3.5, complex(-2.5, -0.0)]
+    pts = np.concatenate([pts, pts[::5], twins, odd])
+    rng.shuffle(pts)
+    return pts
 
 
 def _point_sets(pixel_grid, RenderSpec, quick):
@@ -63,9 +89,17 @@ def _point_sets(pixel_grid, RenderSpec, quick):
         "window": pixel_grid(RenderSpec(window=FIXED_WINDOW, resolution=FIXED_RES, fn="F",
                                         lam=FIXED_LAMBDAS["log2"])),
     }
+    # sub-pixel shifts drawn as the benchmark's render_tet workload draws them
+    re0, re1, im0, im1 = TET_WINDOW
+    dre, dim = (re1 - re0) / TET_RES[0], (im1 - im0) / TET_RES[1]
+    for i, (u, v) in enumerate(np.random.default_rng(SHIFT_SEED).random((4, 2))):
+        window = (re0 + u * dre, re1 + u * dre, im0 + v * dim, im1 + v * dim)
+        sets[f"render.shift{i}"] = pixel_grid(RenderSpec(window=window, resolution=TET_RES,
+                                                         fn="tet"))
     if quick:
         sets = {name: pts.ravel()[np.linspace(0, pts.size - 1, QUICK_POINTS).astype(int)]
                 for name, pts in sets.items()}
+    sets["repeats"] = _repeats(rng)
     return sets
 
 
@@ -88,7 +122,9 @@ def dump(src, out, quick=False):
     for profile in ("default", "high"):
         model = get_model(profile)
         arrays[f"x0.{profile}"] = np.array(model.x0)
-        for name in ("render", "box", "line"):
+        arrays[f"table_v.{profile}"] = model.table_v
+        for name in ("render", *(f"render.shift{i}" for i in range(4)), "box", "line",
+                     "repeats"):
             put(f"tet.{profile}.{name}", tet_grid(model, sets[name]))
         put(f"tet.{profile}.one_point",
             map(np.array, zip(*(tet_grid(model, complex(s)) for s in ONE_POINT))))
