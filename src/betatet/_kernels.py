@@ -199,12 +199,9 @@ def _levels(level, depth, count, f, inputs, real=None):
                 kept = ins[b, at]
                 code = np.where(sing[b, at], SINGULAR, SHORT_CIRCUIT)
                 cols = idx[at]
-                if count == 1:
-                    values[0, cols], status[0, cols] = kept, code
-                else:
-                    fill = np.arange(count)[:, None] >= count - j + b
-                    values[:, cols] = np.where(fill, kept, values[:, cols])
-                    status[:, cols] = np.where(fill, code, status[:, cols])
+                fill = np.arange(count)[:, None] >= count - j + b
+                values[:, cols] = np.where(fill, kept, values[:, cols])
+                status[:, cols] = np.where(fill, code, status[:, cols])
                 keep = ~hit
                 idx, f = idx[keep], fs[-1][keep]
                 inputs = [a[keep] for a in inputs]

@@ -113,6 +113,7 @@ def taylor_coefficients(lam, K):
     double, so such K raise ShortCircuit before the induction runs.
     """
     lam = _fixed_lam(lam)
+    K = _integer(K, "K")
     if K < 0:
         raise ValueError("K must be >= 0")
     if K > 170:     # 171! is not a double, so a_K K! cannot be finite

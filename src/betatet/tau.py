@@ -5,7 +5,8 @@ computed by the descending recursion
 
     tau^{j+1}(s) = log(beta(s+1) + tau^j(s+1)) - beta(s).
 
-The top level, at a = s + j - 1, has one rule per mode:
+The top level, at a = s + j - 1, has one rule per family (lam is lambda, or
+None for the variable family), and only a variable stack holds beta(a+1):
 
 * fixed lambda: the closed-form defect tau^1(a) = -log(1 + e^{-lambda a});
 * variable lambda: the literal log beta(a+1) - beta(a) with no cut test, or
@@ -32,8 +33,8 @@ before the descent, in one pass over the stack or, for the defect, over
 blocks of levels as long as the kernels' (`_kernels._block_length`), and
 each level reads its rows.
 
-A depth-j descent reads the beta rows s + m for m = 0..j-1, and row j too in
-variable mode (its top level).  For fixed lambda the rows 0..max(k,1)-1 are
+A depth-j descent reads the beta rows s + m for m = 0..j-1, and row j too for
+variable lambda (its top level).  For fixed lambda the rows 0..max(k,1)-1 are
 the diagonal of one beta run at s + k - 1 of depth n + k - 1: row m is
 beta_{n+m}(s+m), and row m+1 is exactly one beta level applied to row m, so
 the rows are linked by beta(s+1) = e^{beta(s)}/(e^{-lambda s} + 1) as the
@@ -106,16 +107,8 @@ class TauConfig:
             raise ValueError("tau depth k must be >= 0")
 
 
-def _mode(params, config):
-    if config.scheme == "variable_lambda" or params.is_variable:
-        if not params.is_variable:
-            raise ValueError("variable_lambda scheme requires BetaParams(lam='variable')")
-        return "variable"
-    return "fixed"
-
-
 def _defect(a, lam):
-    """-log(1 + u), u = e^{-lambda a}; the variable mode drifts lambda with a.
+    """-log(1 + u), u = e^{-lambda a}; lam None drifts lambda with a.
 
     Kahan's log1p: with w = 1 + u rounded, log(w) u / (w - 1) keeps the digits
     of u that the rounding drops, and where w is 1 the value is -u.  Runs under
@@ -131,21 +124,22 @@ def _on_cut(z):
 
 
 def _stacks(params, config, sf):
-    """(mode, lam, B, SB): the beta rows a depth-k descent over sf reads.
+    """(lam, B, SB): lambda, None for the variable family, and the beta rows
+    a depth-k descent over sf reads, whose last is the top level's upper row.
 
     B/SB hold beta(sf + m) and its status in row m, except in a variable
     stack's rows above a real point's first row that is not OK: those are
     copies of that row (see `_variable_stack`).
     """
-    mode = _mode(params, config)
+    if config.scheme == "variable_lambda" and not params.is_variable:
+        raise ValueError("variable_lambda scheme requires BetaParams(lam='variable')")
     if params.depth != config.n:
         raise ValueError(f"BetaParams.depth={params.depth} differs from TauConfig.n={config.n}")
-    k = config.k
-    if mode == "fixed":
-        lam, rows = complex(params.lam), max(k, 1)
-        B, SB = _kernels.beta_fixed_grid(sf + (rows - 1), lam, config.n + rows - 1, rows)
-        return mode, lam, B, SB
-    return mode, None, *_variable_stack(sf, config.n, k)
+    if params.is_variable:
+        return None, *_variable_stack(sf, config.n, config.k)
+    rows = max(config.k, 1)
+    return params.lam, *_kernels.beta_fixed_grid(sf + (rows - 1), params.lam,
+                                                 config.n + rows - 1, rows)
 
 
 def _variable_stack(sf, n, k):
@@ -247,16 +241,18 @@ def _step(T, grep, status, rows, m, ratio):
     return np.where(status == OK, Tn, T), grep | switch
 
 
-def _descend(sf, j, mode, lam, B, SB):
+def _descend(sf, j, lam, B, SB):
     """One descent for tau^j; returns (tau, tau_status, F, F_status) over sf.
 
     The descent starts at the lowest level m0 whose upper stack rows
     m0 + 1 .. top are SHORT_CIRCUIT at every point (the top row is the
-    stack's last: j for variable lambda, j - 1 for fixed), from T = D[m0]
+    stack's last: j for variable lambda, j - 1 for fixed, so the variable
+    top rule runs only where row j is not one of them), from T = D[m0]
     with no G representation.  That is exact: the top rule gives D[j - 1]
     where its row is not OK, and `_step` on a live, non-G point whose upper
     row is short-circuited gives D[m] whatever T is, with status and G flag
     unchanged, so every point enters level m0 - 1 as the full descent would.
+    lam, None for variable lambda, selects `_step`'s ratio form.
 
     F is beta(s) + tau(s) assembled without re-subtracting when the G
     representation is active.
@@ -266,12 +262,11 @@ def _descend(sf, j, mode, lam, B, SB):
     if j == 0:
         return np.zeros(npts, np.complex128), status, B[0], SB[0]
     grep = np.zeros(npts, bool)
-    # rows q..top are short-circuit at every point; the variable top rule runs
-    # unless row j is one of them
+    # rows q.. are short-circuit at every point; a fixed stack has j rows
     q = len(SB)
     while q > 0 and (SB[q - 1] == SHORT_CIRCUIT).all():
         q -= 1
-    top = mode == "variable" and q > j
+    top = q > j
     m0 = j - 1 if top else max(q - 1, 0)
     read = j + 1 if top else m0 + 1
     with np.errstate(all="ignore"):
@@ -288,7 +283,7 @@ def _descend(sf, j, mode, lam, B, SB):
             T = np.where(ok & ~huge, L - B[j - 1], np.where(grep, L, T))
 
         for m in range(m0 - 1, -1, -1):
-            T, grep = _step(T, grep, status, rows, m, mode == "fixed")
+            T, grep = _step(T, grep, status, rows, m, lam is not None)
 
         # assemble tau and F; in G representation F is the carried value itself,
         # and tau needs beta(s) only to convert out of it.  A singular or

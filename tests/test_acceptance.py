@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion runs at its stated tolerance.
 
-The suite is executed once per session; each test asserts one criterion so
+The suite is executed once per session; one test body asserts each
+criterion under its own name, test_criterion_NN_<what it checks>, so
 `pytest -v` shows a pass/fail line per criterion alongside the printed
 summary from the runner itself.
 """
@@ -16,57 +17,35 @@ def results(tmp_path_factory):
     return {r.number: r for r in run_all(profile="high", out_dir=out_dir)}
 
 
-def _check(results, number):
-    res = results[number]
-    assert res.passed, f"criterion {number} ({res.name}): {res.detail}"
+CRITERIA = {
+    1: "beta_functional_equation",
+    2: "periodicity",
+    3: "taylor_oracle",
+    4: "tau_convergence",
+    5: "tau_decay",
+    6: "tet_anchors",
+    7: "strip_boundary",
+    8: "cauchy_riemann_share",
+    9: "nonvanishing_upper_half_plane",
+    10: "bijection_and_round_trip",
+    11: "semigroup",
+    12: "render_determinism",
+}
 
 
-def test_criterion_01_beta_functional_equation(results):
-    _check(results, 1)
+def _criterion_test(number):
+    def test(results):
+        res = results[number]
+        assert res.passed, f"criterion {number} ({res.name}): {res.detail}"
+
+    test.__name__ = f"test_criterion_{number:02d}_{CRITERIA[number]}"
+    return test
 
 
-def test_criterion_02_periodicity(results):
-    _check(results, 2)
-
-
-def test_criterion_03_taylor_oracle(results):
-    _check(results, 3)
-
-
-def test_criterion_04_tau_convergence(results):
-    _check(results, 4)
-
-
-def test_criterion_05_tau_decay(results):
-    _check(results, 5)
-
-
-def test_criterion_06_tet_anchors(results):
-    _check(results, 6)
-
-
-def test_criterion_07_strip_boundary(results):
-    _check(results, 7)
-
-
-def test_criterion_08_cauchy_riemann_share(results):
-    _check(results, 8)
-
-
-def test_criterion_09_nonvanishing_upper_half_plane(results):
-    _check(results, 9)
-
-
-def test_criterion_10_bijection_and_round_trip(results):
-    _check(results, 10)
-
-
-def test_criterion_11_semigroup(results):
-    _check(results, 11)
-
-
-def test_criterion_12_render_determinism(results):
-    _check(results, 12)
+# one test per criterion, each under its own name, from one body
+for _number in CRITERIA:
+    _test = _criterion_test(_number)
+    globals()[_test.__name__] = _test
 
 
 def test_run_all_creates_out_dir_before_the_first_criterion(tmp_path):

@@ -24,7 +24,10 @@ def test_bitsets_reports_a_perturbed_array(tmp_path):
     assert {"x0.default", "x0.high", "table_v.default", "table_v.high", "tet.high.line.v",
             "tet.default.render.shift3.v", "tet.high.render.shift0.st",
             "tet.default.repeats.v", "tet.high.repeats.st", "F.variable.100-20.strip.st",
-            "tau.0.5+3i.25-5.window.v"} <= saved.keys()
+            "tau.0.5+3i.25-5.window.v", "beta.variable.100.mixed.v", "beta.log2.25.one_point.st",
+            "g.log2.edges.st", "f.0.25.window.v"} <= saved.keys()
+    # the w sets follow the quick point sets; the edge points stay whole
+    assert saved["g.0.5+3i.complex.v"].size == 12 and saved["f.log2.edges.v"].size == 5
     # the repeats keep their repeats and +-0 twins under --quick
     assert saved["tet.default.repeats.v"].size > 12
     # flip the lowest bit of one value: the bytes differ, the value hardly

@@ -32,7 +32,7 @@ def _defect(a, lam):
     return -_log(1 + cmath.exp(-rate * a))
 
 
-def oracle(s, j, mode, lam, B, SB):
+def oracle(s, j, lam, B, SB):
     """(tau, tau_status, F, F_status, regimes) at one point from its beta rows."""
     def huge(m):
         return SB[m] != OK or abs(B[m]) > 1e8
@@ -40,7 +40,7 @@ def oracle(s, j, mode, lam, B, SB):
     seen = set()
     G, status = False, OK
     d = _defect(s + j - 1, lam)
-    if mode == "fixed":
+    if lam is not None:
         T = d
         seen.add("top defect")
     elif SB[j] == OK and not huge(j - 1):
@@ -71,7 +71,7 @@ def oracle(s, j, mode, lam, B, SB):
             seen.add("beta status")
             break
         w = T / B[m + 1] if B[m + 1] != 0 else math.inf
-        if mode == "fixed" and abs(w) <= 0.5:
+        if lam is not None and abs(w) <= 0.5:
             T = _defect(s + m, lam) + _log(1 + w)
             seen.add("ratio")
             continue
@@ -135,12 +135,12 @@ def _close(a, b):
 @pytest.mark.parametrize("name", list(CASES))
 def test_descent_matches_per_point_oracle(name):
     params, config, pts, regimes = CASES[name]
-    mode, lam, B, SB = tau._stacks(params, config, pts)
+    lam, B, SB = tau._stacks(params, config, pts)
     tv, ts = tau_grid(params, config, pts)
     fv, fs = F_grid(params, config, pts)
     seen = set()
     for i, s in enumerate(pts):
-        ot, ots, of, ofs, took = oracle(complex(s), config.k, mode, lam, *_rows(B, SB, i))
+        ot, ots, of, ofs, took = oracle(complex(s), config.k, lam, *_rows(B, SB, i))
         seen |= took
         assert (ts[i], fs[i]) == (ots, ofs), s
         assert _close(tv[i], ot) and _close(fv[i], of), s

@@ -155,7 +155,7 @@ _FIXED_WINDOW = _grid((0.475, 4.025, -1.025, 1.025), (142, 82))
 @pytest.mark.parametrize("lam", [LOG2, 0.5 + 3j], ids=["log2", "0.5+3i"])
 def test_fixed_stack_rows_are_one_beta_level_apart(lam):
     n, k = 25, 5
-    _, _, B, SB = tau._stacks(BetaParams(lam=lam, depth=n), TauConfig(n, k), _FIXED_WINDOW)
+    _, B, SB = tau._stacks(BetaParams(lam=lam, depth=n), TauConfig(n, k), _FIXED_WINDOW)
     t = _FIXED_WINDOW + (k - 1)
     rate = np.full(t.shape, complex(lam))
     for m in range(k - 1):
@@ -170,7 +170,7 @@ def test_fixed_stack_rows_are_one_beta_level_apart(lam):
 
 def test_fixed_stack_rows_match_separate_runs():
     n, k = 25, 5
-    _, _, B, SB = tau._stacks(BetaParams(lam=LOG2, depth=n), TauConfig(n, k), _FIXED_WINDOW)
+    _, B, SB = tau._stacks(BetaParams(lam=LOG2, depth=n), TauConfig(n, k), _FIXED_WINDOW)
     for m in range(k):
         vals, st = beta_grid(BetaParams(lam=LOG2, depth=n + m), _FIXED_WINDOW + m)
         assert np.array_equal(SB[m], st)
@@ -333,7 +333,7 @@ def test_variable_stack_stops_real_points_at_their_first_failed_row(n, k, high_m
     params, config = BetaParams(lam="variable", depth=n), TauConfig(n, k)
     for name, pts in _stack_sets(high_model.x0).items():
         sf = pts.astype(np.complex128)
-        _, _, B, SB = tau._stacks(params, config, sf)
+        _, B, SB = tau._stacks(params, config, sf)
         vals, st = _kernels.beta_variable_grid(np.concatenate([sf + m for m in range(k + 1)]), n)
         ref, rst = vals.reshape(k + 1, sf.size), st.reshape(k + 1, sf.size)
         real = (sf.imag == 0) & (sf.real > -1)
@@ -346,8 +346,8 @@ def test_variable_stack_stops_real_points_at_their_first_failed_row(n, k, high_m
         assert np.array_equal(B, B[np.minimum(np.arange(k + 1)[:, None], first),
                                     np.arange(sf.size)], equal_nan=True), name
         # the descent reads no copied row: tau and F match the full stack's bits
-        cut = tau._descend(sf, k, "variable", None, B, SB)
-        full = tau._descend(sf, k, "variable", None, ref, rst)
+        cut = tau._descend(sf, k, None, B, SB)
+        full = tau._descend(sf, k, None, ref, rst)
         assert [a.tobytes() for a in cut] == [a.tobytes() for a in full], name
 
 
@@ -382,7 +382,7 @@ def test_complex_batch_runs_the_full_row_major_stack(high_model, monkeypatch):
     assert len(calls) == 1 and calls[0].tobytes() == want.tobytes()
 
 
-def _full_descent(sf, j, mode, lam, B, SB):
+def _full_descent(sf, j, lam, B, SB):
     """The descent run from its top level over every stack row: the reference
     for `tau._descend`, which starts below the rows that are all short-circuit."""
     status = np.zeros(sf.size, np.int8)
@@ -392,13 +392,13 @@ def _full_descent(sf, j, mode, lam, B, SB):
     with np.errstate(all="ignore"):
         rows = tau._rows(sf, j, lam, B, SB)
         T = rows.D[j - 1]
-        if mode == "variable":
+        if lam is None:
             ok, huge = rows.ok[j], rows.huge[j - 1]
             L = np.log(np.where(ok, B[j], 1.0))
             grep = ok & huge & ~tau._on_cut(B[j])
             T = np.where(ok & ~huge, L - B[j - 1], np.where(grep, L, T))
         for m in range(j - 2, -1, -1):
-            T, grep = tau._step(T, grep, status, rows, m, mode == "fixed")
+            T, grep = tau._step(T, grep, status, rows, m, lam is not None)
         bad = (status == OK) & ~rows.ok[0]
         own = (status != OK) & rows.poison[0]
         tstat = np.where((bad & grep) | own, SB[0], status)

@@ -63,6 +63,10 @@ def test_radius_exact():
 def test_large_k_overflow_signalled():
     with pytest.raises(ShortCircuit):
         taylor_coefficients(LOG2, 400)
+    # 170! is a double, but at lambda = 0.01 a_k = g^(k)(0) leaves double range
+    # before k = 170: the check after the recursion raises, not the K > 170 guard
+    with pytest.raises(ShortCircuit, match="before K=170"):
+        taylor_coefficients(0.01, 170)
 
 
 def test_validation():
@@ -70,6 +74,10 @@ def test_validation():
         taylor_coefficients(-0.5, 4)
     with pytest.raises(ValueError):
         taylor_coefficients(LOG2, -1)
+    # K is read like every other depth: a float, even an integral one, is refused
+    for K in (5.0, 2.5, "5"):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            taylor_coefficients(LOG2, K)
     # inf used to give zero coefficients, and nan a misleading overflow signal
     for lam in (math.inf, math.nan, complex(1, math.inf)):
         with pytest.raises(ValueError, match="finite"):

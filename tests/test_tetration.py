@@ -33,6 +33,62 @@ def test_too_shallow_profile_fails_calibration():
         calibrate(n=1, k=1)
 
 
+def _fake_f(monkeypatch, F):
+    """Point tetration._f_line at F(xs) -> (values, status) and record its batches."""
+    calls = []
+
+    def fake(xs, n, k):
+        xs = np.asarray(xs, np.float64)
+        calls.append(xs)
+        return F(xs)
+
+    monkeypatch.setattr(tetration, "_f_line", fake)
+    return calls
+
+
+def test_bracket_skips_a_pair_whose_f_is_not_real(monkeypatch):
+    # F crosses 1 between 1 and 2 with a nonzero imaginary part: that pair is
+    # skipped, and the real crossing between 4 and 5 is the bracket
+    _fake_f(monkeypatch, lambda xs: (np.where(xs < 3, xs - 0.5 + 1j, xs - 3.5 + 0j),
+                                     np.zeros(xs.size, np.int8)))
+    assert tetration._bracket(25, 5) == (4.0, 5.0)
+
+
+def test_bisection_fails_at_a_midpoint_that_is_not_ok(monkeypatch):
+    # root 0.7: the midpoints 0.5 then 0.75, where F short-circuits
+    _fake_f(monkeypatch, lambda xs: (xs + 0.3 + 0j,
+                                     np.where(xs > 0.6, SHORT_CIRCUIT, OK).astype(np.int8)))
+    with pytest.raises(tetration.CalibrationFailed, match="bisection point 0.75"):
+        tetration._bisect(0.0, 1.0, 25, 5)
+
+
+def test_bisection_stops_after_80_halvings(monkeypatch):
+    # a root at 1e-300 needs about 1000 halvings of [0, 1] to reach adjacent
+    # doubles: 16 batches of 5 levels halve it 80 times and return the midpoint
+    calls = _fake_f(monkeypatch, lambda xs: (np.where(xs >= 1e-300, 2.0, 0.0) + 0j,
+                                             np.zeros(xs.size, np.int8)))
+    assert tetration._bisect(0.0, 1.0, 25, 5) == 2.0 ** -81
+    assert len(calls) == 16
+
+
+@pytest.mark.parametrize("table,message", [
+    (lambda Z: (Z, np.where(Z.real > 0.5, SHORT_CIRCUIT, OK)), "table not evaluable"),
+    (lambda Z: (-Z, np.zeros(Z.shape)), "not increasing"),
+    (lambda Z: (Z + 2.0, np.zeros(Z.shape)), r"tet\(0\) - 1"),
+], ids=["table-not-ok", "not-increasing", "anchor-missed"])
+def test_calibration_checks_its_table_and_anchor(monkeypatch, table, message):
+    # a fake F(x) = x brackets (0, 1) and bisects to 1; tet_grid fakes the table
+    _fake_f(monkeypatch, lambda xs: (xs + 0j, np.zeros(xs.size, np.int8)))
+
+    def fake_tet_grid(model, Z):
+        v, st = table(np.asarray(Z, np.complex128))
+        return v, np.asarray(st, np.int8)
+
+    monkeypatch.setattr(tetration, "tet_grid", fake_tet_grid)
+    with pytest.raises(tetration.CalibrationFailed, match=message):
+        tetration.calibrate(n=25, k=5)
+
+
 def test_bisection_early_exit_matches_full_loop(default_model, high_model):
     # one-point bisection for 80 full steps gives the x0 that the batched,
     # early-exit bisection found
@@ -165,6 +221,10 @@ def test_positivity_scan(high_model):
     assert scan.truncated_at is None
     scan2 = derivative_positivity_scan(high_model, 0.0, 2.0, 0.1)
     assert scan2.all_positive
+    # tet short-circuits from the first point on: no derivative, truncated at the start
+    scan3 = derivative_positivity_scan(high_model, 8.0, 9.0, 0.5)
+    assert not scan3
+    assert math.isnan(scan3.min_derivative) and scan3.truncated_at == 8.0
 
 
 def test_truncated_scan_fails_criterion_10(high_model, monkeypatch):

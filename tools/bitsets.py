@@ -7,8 +7,8 @@
 and saves each evaluation below to OUT.npz, values and statuses as separate
 arrays.  Run it once per checkout, each in its own process, then `compare`,
 which lists the arrays whose dtype, shape or bytes differ and exits 1 if any
-do.  `--quick` keeps 12 evenly spaced points of each set but the repeats,
-which it keeps whole.
+do.  `--quick` keeps 12 evenly spaced points of each set but the repeats and
+the five w points, which it keeps whole.
 
 The evaluations:
 * x0, the calibration table's values and tet_grid at both profiles on the
@@ -25,7 +25,12 @@ The evaluations:
 * fixed-lambda tau_grid and F_grid at lambda = log 2, 0.5+3i and 0.25 and
   (n, k) = (25, 5), (25, 1), (100, 20) on the real, complex and mixed sets
   and the render_fixed pixel grid (142 x 82 over (0.475, 4.025, -1.025,
-  1.025)).
+  1.025));
+* beta_grid, variable at n = 25 and 100 and at lambda = log 2 and 0.5+3i
+  with n = 25, on the real, complex and mixed sets and in one-point calls;
+* g_grid and f_grid at lambda = log 2, 0.5+3i and 0.25 on w = e^{lambda s}
+  over the complex set and the render_fixed pixel grid, and on the points
+  0, -4 (singular at j = 2 for log 2), 1e300, nan and inf.
 """
 
 import argparse
@@ -38,6 +43,8 @@ import numpy as np
 VARIABLE_DEPTHS = [(25, 5), (100, 20), (8, 5), (25, 0), (25, 1)]
 FIXED_DEPTHS = [(25, 5), (25, 1), (100, 20)]
 FIXED_LAMBDAS = {"log2": math.log(2.0), "0.5+3i": 0.5 + 3j, "0.25": 0.25}
+BETA_FAMILIES = [("variable", 25), ("variable", 100), ("log2", 25), ("0.5+3i", 25)]
+W_EDGES = np.array([0.0, -4.0, 1e300, np.nan, np.inf], np.complex128)
 ONE_POINT = [0.3, 0.3 + 0.4j, -0.5 + 0.5j, 1.5, -1.5 + 0.2j, 2.5 + 1j, -2.5, 1.9 - 0.1j]
 TET_WINDOW, TET_RES = (-1.55, 2.05, -0.25, 2.05), (144, 92)
 FIXED_WINDOW, FIXED_RES = (0.475, 4.025, -1.025, 1.025), (142, 82)
@@ -107,7 +114,8 @@ def dump(src, out, quick=False):
     root = Path(src).resolve()
     sys.path.insert(0, str(root / "src"))
     import betatet
-    from betatet import VARIABLE, BetaParams, F_grid, TauConfig, tau_grid
+    from betatet import VARIABLE, BetaParams, F_grid, TauConfig, beta_grid, tau_grid
+    from betatet.beta import f_grid, g_grid
     from betatet.render import RenderSpec, pixel_grid
     from betatet.tetration import get_model, slog_grid, tet_grid
 
@@ -138,6 +146,18 @@ def dump(src, out, quick=False):
             for name in names:
                 put(f"tau.{family}.{n}-{k}.{name}", tau_grid(params, config, sets[name]))
                 put(f"F.{family}.{n}-{k}.{name}", F_grid(params, config, sets[name]))
+    for family, n in BETA_FAMILIES:
+        params = BetaParams(lam=FIXED_LAMBDAS.get(family, VARIABLE), depth=n)
+        for name in ("real", "complex", "mixed"):
+            put(f"beta.{family}.{n}.{name}", beta_grid(params, sets[name]))
+        put(f"beta.{family}.{n}.one_point",
+            map(np.array, zip(*(beta_grid(params, complex(s)) for s in ONE_POINT))))
+    for family, lam in FIXED_LAMBDAS.items():
+        ws = {"complex": np.exp(lam * sets["complex"]), "window": np.exp(lam * sets["window"]),
+              "edges": W_EDGES}
+        for name, w in ws.items():
+            put(f"g.{family}.{name}", g_grid(lam, w))
+            put(f"f.{family}.{name}", f_grid(lam, w))
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays from {root} to {out}")
 
