@@ -31,10 +31,10 @@ passes per level of a plain level loop.
 `_compose` applies the same guards to each point, in this order: singular
 denominator, then overflow guard, then non-finite update.  They are checked
 once per block on all its levels, and the first level at which a point
-trips one decides: the point stops there, keeps its last finite iterate and
-fills its later rows, and what it computed past that level is dropped.  A
-point with a non-finite input gets the nonfinite status before the first
-level.
+trips one decides: the point stops there, keeps its last finite iterate,
+and what it computed past that level is dropped; a non-finite input stops
+before the first level, nonfinite.  A stopped point's later rows hold its
+kept iterate and status, filled once per call after the last level.
 
 A batch with at least SPLIT_MIN points for each CPU this process may run on
 (its affinity mask, read once at import) is cut into contiguous chunks, one
@@ -135,11 +135,12 @@ def _levels(level, depth, count, f, inputs, real=None):
     """The level loop of `_compose` on flat arrays; values and status are (count, N).
 
     Each point runs alone: no step reduces across points, so a chunk gives
-    the bits the whole batch would.  A point that stops fills the rows not
-    yet written with its kept iterate and stop status.
+    the bits the whole batch would.  A point that stops records the first
+    row its fill covers, its kept iterate and its status (start, kept and
+    code; a non-finite input stops at row 0), and one pass fills them last.
 
     The points that real marks run on the real parts of f and the inputs, in
-    float64, the others in complex128; a chunk of one kind runs the loop once.
+    float64, then the others, if any, in complex128.
 
     level(js, *inputs) computes the level-only terms of the levels js, a
     descending column of f's dtype, for every live point in one pass and
@@ -155,22 +156,21 @@ def _levels(level, depth, count, f, inputs, real=None):
     of any length, so its bits depend on neither the batch nor the block.
     numpy's errstate is per thread, so it is set here.
     """
-    if real is not None and real.all():
-        values, status = _levels(level, depth, count, f.real, [a.real for a in inputs])
-        return values.astype(f.dtype), status
     if real is not None and real.any():
         values, status = np.empty((count, f.size), f.dtype), np.empty((count, f.size), np.int8)
-        for part in (real, ~real):
-            values[:, part], status[:, part] = _levels(
-                level, depth, count, f[part], [a[part] for a in inputs], real[part])
+        values[:, real], status[:, real] = _levels(
+            level, depth, count, f.real[real], [a.real[real] for a in inputs])
+        if not real.all():
+            values[:, ~real], status[:, ~real] = _levels(
+                level, depth, count, f[~real], [a[~real] for a in inputs])
         return values, status
     values = np.repeat(f.reshape(1, -1), count, axis=0)
-    status = np.zeros(values.shape, np.int8)
+    kept, code = f.copy(), np.full(f.size, NONFINITE, np.int8)
     finite = np.logical_and.reduce([np.isfinite(a) for a in inputs])
-    status[:, ~finite] = NONFINITE
+    start = np.where(finite, count, 0)      # the first row a stop fills; count: none
     idx = np.flatnonzero(finite)
     inputs = [a[idx] for a in inputs]
-    f = values[0, idx]
+    f = kept[idx]
     levels = np.arange(depth, 0, -1, dtype=f.dtype)[:, None]
     j = depth
     with np.errstate(all="ignore"):
@@ -192,22 +192,20 @@ def _levels(level, depth, count, f, inputs, real=None):
             first = max(j - count, 0)
             if first < size:
                 values[count - j + first:count - j + size, idx] = fs[first:]
+            f = fs[-1]
             if stop.any():
-                hit = stop.any(axis=0)
-                at = np.flatnonzero(hit)
+                keep = ~stop.any(axis=0)
+                at = np.flatnonzero(~keep)
                 b = stop[:, at].argmax(axis=0)
-                kept = ins[b, at]
-                code = np.where(sing[b, at], SINGULAR, SHORT_CIRCUIT)
-                cols = idx[at]
-                fill = np.arange(count)[:, None] >= count - j + b
-                values[:, cols] = np.where(fill, kept, values[:, cols])
-                status[:, cols] = np.where(fill, code, status[:, cols])
-                keep = ~hit
-                idx, f = idx[keep], fs[-1][keep]
-                inputs = [a[keep] for a in inputs]
-            else:
-                f = fs[-1]
+                start[idx[at]], kept[idx[at]] = count - j + b, ins[b, at]
+                code[idx[at]] = np.where(sing[b, at], SINGULAR, SHORT_CIRCUIT)
+                idx, f, inputs = idx[keep], f[keep], [a[keep] for a in inputs]
             j -= size
+    status = np.zeros(values.shape, np.int8)
+    if idx.size < status.shape[1]:      # a point stopped: fill its rows
+        fill = np.arange(count)[:, None] >= start
+        np.copyto(values, kept, where=fill)
+        np.copyto(status, code, where=fill)
     return values, status
 
 

@@ -222,10 +222,9 @@ def _g_points(lam, w, reciprocal=False):
     for p in np.unique(pulls[status == OK]).tolist():
         at = np.flatnonzero((status == OK) & (pulls == p))
         rows, st = _kernels.g_comp_grid(w[at], series.lam, p, taylor[at], rows=max(p, 1))
-        est = np.maximum(1.0, np.abs(taylor[at]))
+        inputs = np.concatenate([taylor[at][None], rows[:-1]])    # each level's input
         with np.errstate(over="ignore"):
-            for row in rows[:-1]:
-                est = est * np.maximum(1.0, np.abs(row))
+            est = np.maximum(1.0, np.abs(inputs)).prod(axis=0)
         values[at], status[at] = rows[-1], st[-1]
         cond[at] = np.where(st[-1] == OK, est, 0.0)
     status[cond > _PUSH_COND_MAX] = SHORT_CIRCUIT

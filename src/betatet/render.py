@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beta import VARIABLE, BetaParams, beta_grid, f_grid, g_grid
+from .beta import VARIABLE, BetaParams, _integer, beta_grid, f_grid, g_grid
 from .errors import OK, STATUS_NAMES
 from .tau import F_grid, TauConfig
 from .tetration import get_model, slog_grid, tet_grid
@@ -55,12 +55,15 @@ class RenderSpec:
         re_min, re_max, im_min, im_max = self.window
         if not (re_min < re_max and im_min < im_max):
             raise ValueError("window must satisfy re_min < re_max and im_min < im_max")
-        w, h = self.resolution
+        w, h = (_integer(v, "resolution") for v in self.resolution)
         if w < 1 or h < 1:
             raise ValueError("resolution must be >= 1x1")
         if self.fn not in FUNCTIONS:
             raise ValueError(f"fn must be one of {FUNCTIONS}")
         check_lam(self.fn, self.lam)
+        object.__setattr__(self, "resolution", (w, h))
+        object.__setattr__(self, "depth", _integer(self.depth, "depth"))
+        object.__setattr__(self, "tau_depth", _integer(self.tau_depth, "tau_depth"))
         if self.depth < 1 or self.tau_depth < 0:
             raise ValueError("invalid depth profile")
 
@@ -191,14 +194,19 @@ def render_hue(spec):
     return PixelBuffer(width=w, height=h, data=np.ascontiguousarray(img))
 
 
-def export_real_line(fn, lam=None, lo=0.0, hi=1.0, samples=100, depth=100,
-                     tau_depth=10):
+def export_real_line(fn, lam=None, lo=0.0, hi=1.0, samples=100, depth=None,
+                     tau_depth=None):
     """Uniformly sample a function on [lo, hi]; failures become marker rows.
 
-    Returns a list of (x, value-or-None, status-name) tuples.
+    Without depths, tet and slog use get_model()'s default profile, and beta
+    and F use n = 100 and k = 10.  Returns a list of (x, value-or-None,
+    status-name) tuples.
     """
+    samples = _integer(samples, "samples")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if fn not in ("tet", "slog"):
+        depth, tau_depth = 100 if depth is None else depth, 10 if tau_depth is None else tau_depth
     xs = np.linspace(lo, hi, samples)
     values, status = _evaluate_fn(fn, lam, depth, tau_depth, None,
                                   xs.astype(np.complex128))

@@ -25,9 +25,18 @@ def test_bitsets_reports_a_perturbed_array(tmp_path):
             "tet.default.render.shift3.v", "tet.high.render.shift0.st",
             "tet.default.repeats.v", "tet.high.repeats.st", "F.variable.100-20.strip.st",
             "tau.0.5+3i.25-5.window.v", "beta.variable.100.mixed.v", "beta.log2.25.one_point.st",
-            "g.log2.edges.st", "f.0.25.window.v"} <= saved.keys()
+            "g.log2.edges.st", "f.0.25.window.v", "kernel.variable.100.rows5.stops.v",
+            "kernel.log2.25.rows25.stops.one_point.st", "kernel.0.5+3i.100.rows100.mixed.v",
+            "kernel.w.0.25.rows25.stops.st", "cond.0.05.far", "g.10.far.st"} <= saved.keys()
     # the w sets follow the quick point sets; the edge points stay whole
     assert saved["g.0.5+3i.complex.v"].size == 12 and saved["f.log2.edges.v"].size == 5
+    # kernel rows lead; the stop points and the w stop points stay whole
+    assert saved["kernel.log2.100.rows5.complex.v"].shape == (5, 12)
+    stops = saved["kernel.0.5+3i.25.rows25.stops.v"]
+    assert stops.shape[0] == 25 and stops.shape[1] > 12
+    assert saved["kernel.0.5+3i.25.rows25.stops.one_point.v"].shape == stops.shape
+    assert saved["kernel.w.log2.rows5.stops.v"].shape == (5, 10)
+    assert saved["cond.10.far"].size == 12
     # the repeats keep their repeats and +-0 twins under --quick
     assert saved["tet.default.repeats.v"].size > 12
     # flip the lowest bit of one value: the bytes differ, the value hardly

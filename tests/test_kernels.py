@@ -44,41 +44,53 @@ MODES = [(LOG2, 100), (0.5 + 3j, 100), (None, 100), (10.0, 100)]
 MODE_IDS = ["log2", "0.5+3i", "variable", "10"]
 
 
-def oracle(s, lam, depth):
+def oracle(s, lam, depth, rows=1):
     """Plain-Python beta recursion for one point, with the kernel's guard order.
 
-    Returns (value, status): a stopped point keeps its last finite iterate.
+    Returns (values, status), lists of the iterates after levels rows, ..., 1
+    and their statuses.  A point that stops at level j keeps its last finite
+    iterate, with the stop status, in row rows - j and every row after it; a
+    non-finite input keeps its start value 0 in every row, nonfinite.
     """
+    values, status = [0j] * rows, [OK] * rows
+
+    def stop(f, code, row):
+        first = max(row, 0)
+        values[first:], status[first:] = [f] * (rows - first), [code] * (rows - first)
+        return values, status
+
     if lam is None:
         try:
             rate = 1.0 / cmath.sqrt(1.0 + s)
         except ZeroDivisionError:
-            return 0j, NONFINITE
+            return stop(0j, NONFINITE, 0)
     else:
         rate = complex(lam)
     if not (cmath.isfinite(s) and cmath.isfinite(rate)):
-        return 0j, NONFINITE
+        return stop(0j, NONFINITE, 0)
     f = 0j
     for j in range(depth, 0, -1):
         x = rate * (j - s)
         if x.real > OVERFLOW_GUARD:
             if f.real > OVERFLOW_GUARD:
-                return f, SHORT_CIRCUIT
+                return stop(f, SHORT_CIRCUIT, rows - j)
             fn = cmath.exp(f - x)
         else:
             den = 1.0 + cmath.exp(x)
             if abs(den) < SINGULAR_RADIUS:
-                return f, SINGULAR
+                return stop(f, SINGULAR, rows - j)
             if f.real > OVERFLOW_GUARD:
-                return f, SHORT_CIRCUIT
+                return stop(f, SHORT_CIRCUIT, rows - j)
             try:
                 fn = cmath.exp(f) / den
             except OverflowError:
-                return f, SHORT_CIRCUIT
+                return stop(f, SHORT_CIRCUIT, rows - j)
         if not cmath.isfinite(fn):
-            return f, SHORT_CIRCUIT
+            return stop(f, SHORT_CIRCUIT, rows - j)
         f = fn
-    return f, OK
+        if j <= rows:
+            values[rows - j] = f
+    return values, status
 
 
 def kernel(s, lam, depth):
@@ -89,11 +101,16 @@ def kernel(s, lam, depth):
 
 @pytest.mark.parametrize("lam,depth", MODES, ids=MODE_IDS)
 def test_kernel_matches_guard_order_oracle(lam, depth):
+    # the last row through the public grids, then every row of rows = 5 and
+    # rows = depth, the rows after a stop included
     values, status = kernel(PROBE, lam, depth)
-    for s, v, st in zip(PROBE, values, status):
-        ov, ost = oracle(complex(s), lam, depth)
-        assert st == ost, s
-        assert abs(v - ov) <= 1e-12 * max(1.0, abs(ov)), s
+    runs = [(1, values[None], status[None])]
+    runs += [(rows, *_kernels._beta(PROBE, lam, depth, rows)) for rows in (5, depth)]
+    for rows, values, status in runs:
+        for s, v, st in zip(PROBE, values.T, status.T):
+            ov, ost = oracle(complex(s), lam, depth, rows)
+            assert st.tolist() == ost, (s, rows)
+            assert np.all(np.abs(v - ov) <= 1e-12 * np.maximum(1.0, np.abs(ov))), (s, rows)
 
 
 @pytest.mark.parametrize("lam", [LOG2, None], ids=["fixed", "variable"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from betatet import Overlay, RenderSpec, export_real_line, render_hue, singular_lattice
+from betatet import Overlay, RenderSpec, export_real_line, render_hue, singular_lattice, tetration
 from betatet.errors import OK, STATUS_NAMES
 from betatet.render import GRAY, _apply_overlay, _evaluate_fn, colorize, pixel_grid, write_csv
 
@@ -127,6 +127,20 @@ def test_render_spec_validation():
         RenderSpec(window=(-1, 1, -1, 1), resolution=(8, 8), fn="beta")
     with pytest.raises(ValueError):
         RenderSpec(window=(-1, 1, -1, 1), resolution=(8, 8), fn="g", lam="variable")
+    # sizes must be integers: 2.5 used to reach the PPM header, "25" raised
+    # TypeError, and depth 25.5 failed only at render time
+    for resolution in ((2.5, 2), (2, 2.0), ("2", 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RenderSpec(window=(-1, 1, -1, 1), resolution=resolution, fn="g", lam=LOG2)
+    for depths in (("25", 5), (25.5, 5), (25, 5.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn="beta", lam=LOG2,
+                       depth=depths[0], tau_depth=depths[1])
+    spec = RenderSpec(window=(-1, 1, -1, 1), resolution=(True, np.int64(2)), fn="beta",
+                      lam=LOG2, depth=np.int32(25))
+    assert spec.resolution == (1, 2) and spec.depth == 25
+    assert {type(spec.resolution[0]), type(spec.resolution[1]), type(spec.depth)} == {int}
+    assert render_hue(spec).to_ppm().startswith(b"P6\n1 2\n255\n")
 
 
 def test_render_spec_rejects_a_fixed_lambda_for_tet():
@@ -209,6 +223,24 @@ def test_export_rows_are_python_scalars():
 def test_export_validates_samples():
     with pytest.raises(ValueError):
         export_real_line("g", lam=LOG2, lo=0, hi=1, samples=1)
+    for samples in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            export_real_line("g", lam=LOG2, lo=0, hi=1, samples=samples)
+    assert len(export_real_line("g", lam=LOG2, lo=0, hi=1, samples=np.int64(3))) == 3
+
+
+def test_export_tet_and_slog_default_to_the_default_profile(monkeypatch, default_model):
+    # without depths the real line of tet and slog comes from get_model()'s
+    # model; it used to calibrate a (100, 10) model that no profile names
+    def calibrate(*args, **kwargs):
+        raise AssertionError("export_real_line calibrated a new model")
+
+    cache = {(default_model.n, default_model.k): default_model}
+    monkeypatch.setattr(tetration, "_MODEL_CACHE", cache)
+    monkeypatch.setattr(tetration, "calibrate", calibrate)
+    for fn, lo, hi in (("tet", -1.9, 2.0), ("slog", 0.5, 20.0)):
+        rows = export_real_line(fn, lo=lo, hi=hi, samples=9)
+        assert len(rows) == 9 and {st for _, _, st in rows} == {"ok"}
 
 
 def _overlaid(resolution, window, **overlay):

@@ -7,8 +7,8 @@
 and saves each evaluation below to OUT.npz, values and statuses as separate
 arrays.  Run it once per checkout, each in its own process, then `compare`,
 which lists the arrays whose dtype, shape or bytes differ and exits 1 if any
-do.  `--quick` keeps 12 evenly spaced points of each set but the repeats and
-the five w points, which it keeps whole.
+do.  `--quick` keeps 12 evenly spaced points of each set but the repeats,
+the stop points and the w edge points, which it keeps whole.
 
 The evaluations:
 * x0, the calibration table's values and tet_grid at both profiles on the
@@ -30,7 +30,17 @@ The evaluations:
   with n = 25, on the real, complex and mixed sets and in one-point calls;
 * g_grid and f_grid at lambda = log 2, 0.5+3i and 0.25 on w = e^{lambda s}
   over the complex set and the render_fixed pixel grid, and on the points
-  0, -4 (singular at j = 2 for log 2), 1e300, nan and inf.
+  0, -4 (singular at j = 2 for log 2), 1e300, nan and inf;
+* every row the kernels return, past a stop too, which the pullback never
+  reads: beta_fixed_grid at lambda = log 2 and 0.5+3i and variable _beta,
+  each at n = 25 and 100 with rows = 5 (and rows = n for fixed lambda), on
+  the real, complex and mixed sets and on the stop points (+-inf, NaN, -1,
+  the lattice points m - i pi/lambda, overflow stops) as a batch and in
+  one-point calls; g_comp_grid at lambda = log 2, 0.5+3i and 0.25, n = 25,
+  rows = 5 and 25, from seeded start values, on w = e^{lambda s} over the
+  complex set and on the w edge points, |w| near 1e300 among them;
+* g_grid's values, statuses and push-out condition estimates at lambda =
+  log 2, 0.5+3i, 0.25, 0.05 and 10 on 300 seeded w with |w| from 10 to 1e300.
 """
 
 import argparse
@@ -45,6 +55,8 @@ FIXED_DEPTHS = [(25, 5), (25, 1), (100, 20)]
 FIXED_LAMBDAS = {"log2": math.log(2.0), "0.5+3i": 0.5 + 3j, "0.25": 0.25}
 BETA_FAMILIES = [("variable", 25), ("variable", 100), ("log2", 25), ("0.5+3i", 25)]
 W_EDGES = np.array([0.0, -4.0, 1e300, np.nan, np.inf], np.complex128)
+KERNEL_DEPTHS = (25, 100)
+COND_LAMBDAS = {**FIXED_LAMBDAS, "0.05": 0.05, "10": 10.0}
 ONE_POINT = [0.3, 0.3 + 0.4j, -0.5 + 0.5j, 1.5, -1.5 + 0.2j, 2.5 + 1j, -2.5, 1.9 - 0.1j]
 TET_WINDOW, TET_RES = (-1.55, 2.05, -0.25, 2.05), (144, 92)
 FIXED_WINDOW, FIXED_RES = (0.475, 4.025, -1.025, 1.025), (142, 82)
@@ -73,6 +85,23 @@ def _repeats(rng):
     return pts
 
 
+def _stops():
+    """Points at which the beta kernel stops: +-inf, NaN, -1 (the variable
+    rate's pole), the singular lattice points m - i pi/lambda for log 2 and
+    0.5+3i, and overflow stops at large Re s, beside a few that run through."""
+    lattice = [m - 1j * math.pi / FIXED_LAMBDAS[name] for name in ("log2", "0.5+3i")
+               for m in range(1, 6)]
+    odd = [np.inf, -np.inf, complex(0.5, np.inf), np.nan, complex(0.5, np.nan), -1.0,
+           6.0, 8.5, 30.0, 700.0, 1e300, 6 + 0.3j, 12 - 2j, 40 + 1j, 0.0, -0.5 + 0.5j, 2 + 1j]
+    return np.array(lattice + odd, np.complex128)
+
+
+def _w_stops(lam):
+    """The w edge points, more with |w| near 1e300, and -e^{3 lambda}, singular at j = 3."""
+    more = [-1e300, 1e300j, 7e299 - 7e299j, -np.exp(3 * lam), complex(np.nan, 1.0)]
+    return np.concatenate([W_EDGES, np.array(more, np.complex128)])
+
+
 def _point_sets(pixel_grid, RenderSpec, quick):
     rng = np.random.default_rng(2020)
 
@@ -96,6 +125,8 @@ def _point_sets(pixel_grid, RenderSpec, quick):
         "window": pixel_grid(RenderSpec(window=FIXED_WINDOW, resolution=FIXED_RES, fn="F",
                                         lam=FIXED_LAMBDAS["log2"])),
     }
+    far = np.random.default_rng(2021)
+    sets["far"] = 10.0 ** far.uniform(1, 300, 300) * np.exp(2j * math.pi * far.random(300))
     # sub-pixel shifts drawn as the benchmark's render_tet workload draws them
     re0, re1, im0, im1 = TET_WINDOW
     dre, dim = (re1 - re0) / TET_RES[0], (im1 - im0) / TET_RES[1]
@@ -107,6 +138,7 @@ def _point_sets(pixel_grid, RenderSpec, quick):
         sets = {name: pts.ravel()[np.linspace(0, pts.size - 1, QUICK_POINTS).astype(int)]
                 for name, pts in sets.items()}
     sets["repeats"] = _repeats(rng)
+    sets["stops"] = _stops()
     return sets
 
 
@@ -114,8 +146,8 @@ def dump(src, out, quick=False):
     root = Path(src).resolve()
     sys.path.insert(0, str(root / "src"))
     import betatet
-    from betatet import VARIABLE, BetaParams, F_grid, TauConfig, beta_grid, tau_grid
-    from betatet.beta import f_grid, g_grid
+    from betatet import VARIABLE, BetaParams, F_grid, TauConfig, _kernels, beta_grid, tau_grid
+    from betatet.beta import _g_points, f_grid, g_grid
     from betatet.render import RenderSpec, pixel_grid
     from betatet.tetration import get_model, slog_grid, tet_grid
 
@@ -158,6 +190,28 @@ def dump(src, out, quick=False):
         for name, w in ws.items():
             put(f"g.{family}.{name}", g_grid(lam, w))
             put(f"f.{family}.{name}", f_grid(lam, w))
+    for family, lam in [("variable", None), ("log2", FIXED_LAMBDAS["log2"]),
+                        ("0.5+3i", FIXED_LAMBDAS["0.5+3i"])]:
+        for n in KERNEL_DEPTHS:
+            for rows in (5,) if lam is None else (5, n):
+                kernel = (lambda s: _kernels._beta(s, None, n, rows)) if lam is None else (
+                    lambda s: _kernels.beta_fixed_grid(s, lam, n, rows))
+                for name in ("real", "complex", "mixed", "stops"):
+                    put(f"kernel.{family}.{n}.rows{rows}.{name}", kernel(sets[name]))
+                put(f"kernel.{family}.{n}.rows{rows}.stops.one_point",
+                    map(np.hstack, zip(*(kernel(s[None]) for s in sets["stops"]))))
+    for family, lam in FIXED_LAMBDAS.items():
+        ws = {"complex": np.exp(lam * sets["complex"]), "stops": _w_stops(lam)}
+        for name, w in ws.items():
+            start = np.random.default_rng(7)
+            f0 = start.uniform(-1, 1, w.size) + 1j * start.uniform(-1, 1, w.size)
+            for rows in (5, 25):
+                put(f"kernel.w.{family}.rows{rows}.{name}",
+                    _kernels.g_comp_grid(w, lam, 25, f0, rows))
+    for family, lam in COND_LAMBDAS.items():
+        values, status, cond = _g_points(lam, sets["far"])
+        put(f"g.{family}.far", (values, status))
+        arrays[f"cond.{family}.far"] = cond
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays from {root} to {out}")
 
