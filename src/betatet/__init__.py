@@ -12,7 +12,6 @@ from .beta import (
     TaylorSeries,
     beta_eval,
     beta_grid,
-    beta_periodicity_check,
     f_eval,
     g_eval,
     singular_lattice,
@@ -33,7 +32,6 @@ from .tau import F_eval, F_grid, TauConfig, tau_grid
 from .tetration import (
     TetModel,
     calibrate,
-    derivative_positivity_scan,
     exp_iter,
     get_model,
     slog_eval,
@@ -52,7 +50,6 @@ __all__ = [
     "TaylorSeries",
     "beta_eval",
     "beta_grid",
-    "beta_periodicity_check",
     "f_eval",
     "g_eval",
     "singular_lattice",
@@ -76,7 +73,6 @@ __all__ = [
     "tau_grid",
     "TetModel",
     "calibrate",
-    "derivative_positivity_scan",
     "exp_iter",
     "get_model",
     "slog_eval",

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beta import BetaParams, beta_grid, beta_periodicity_check, taylor_coefficients
+from .beta import BetaParams, beta_grid, taylor_coefficients
 from .errors import OK
 from .render import RenderSpec, render_hue
 from .tau import F_grid, TauConfig, tau_grid
-from .tetration import calibrate, derivative_positivity_scan, exp_iter, slog_eval, tet_eval, tet_grid
+from .tetration import calibrate, exp_iter, slog_grid, tet_grid
 
 LOG2 = math.log(2.0)
 
@@ -61,13 +61,16 @@ def crit_functional_equation():
 
 
 def crit_periodicity():
-    """|beta(s + 2 pi i/lambda) - beta(s)| < 1e-10 at 10 sample points."""
-    samples = [-5.0, -4.0, -3.0 + 0.5j, -2.0 - 0.5j, -1.0]
+    """|beta(s + 2 pi i/lambda) - beta(s)| < 1e-10 at 10 sample points; a point
+    without an OK status at both ends counts as inf."""
+    samples = np.array([-5.0, -4.0, -3.0 + 0.5j, -2.0 - 0.5j, -1.0])
     worst = 0.0
     for lam in (LOG2, 1.0):
         params = BetaParams(lam=lam, depth=100)
-        for s in samples:
-            worst = max(worst, beta_periodicity_check(params, s))
+        b0, s0 = beta_grid(params, samples)
+        b1, s1 = beta_grid(params, samples + 2j * math.pi / params.lam)
+        resid = np.where((s0 == OK) & (s1 == OK), np.abs(b1 - b0), np.inf)
+        worst = max(worst, float(resid.max()))
     return worst < 1e-10, f"max residual {worst:.3e} < 1e-10 at 10 points"
 
 
@@ -122,12 +125,11 @@ def crit_tau_decay():
 
 
 def crit_anchors(model, calib_seconds):
-    """tet anchors at 0, 1, -1, 2; calibration plus anchors under 30 s."""
+    """tet anchors at 0, 1, -1, 2 (inf where the status is not OK); calibration
+    plus anchors under 30 s."""
     t0 = time.time()
-    a0 = abs(tet_eval(model, 0.0) - 1.0)
-    a1 = abs(tet_eval(model, 1.0) - math.e)
-    am = abs(tet_eval(model, -1.0))
-    a2 = abs(tet_eval(model, 2.0) - math.e ** math.e)
+    v, st = tet_grid(model, np.array([0.0, 1.0, -1.0, 2.0]))
+    a0, a1, am, a2 = np.where(st == OK, np.abs(v - [1.0, math.e, 0.0, math.e ** math.e]), np.inf)
     elapsed = calib_seconds + (time.time() - t0)
     passed = (a0 < 1e-10 and a1 < 1e-8 and am < 1e-8 and a2 < 1e-6
               and elapsed < 30.0)
@@ -162,6 +164,32 @@ def circle_mean_ok(evaluate, centres, r, nodes):
     with np.errstate(all="ignore"):
         close = np.abs(v[:, :-1].mean(axis=1) - f) <= 1e-8 * np.maximum(1.0, np.abs(f))
     return close & (st == OK).all(axis=1)
+
+
+def analytic_radius(evaluate, xs, radii, nodes):
+    """R(x) per real x: the largest of the radii such that at it and every smaller
+    radius r, all statuses are OK and the trapezoid Cauchy coefficient
+    c1(r) = mean of f(x + r e^{i theta}) e^{-i theta} / r over `nodes` equally
+    spaced theta is within 1e-5 max(1, |f'(x)|) of the central difference
+    f'(x) = (f(x + h) - f(x - h)) / 2h, h = 1e-5; 0 where the smallest fails.
+
+    c1(r) is f'(x) for an f holomorphic on |s - x| <= r, so R(x) is a radius
+    about x on which f behaves as holomorphic.  evaluate maps an array to
+    (values, status) of its shape.
+    """
+    r = np.sort(np.asarray(radii, np.float64))
+    unit = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    h = 1e-5
+    xs = np.asarray(xs, np.float64).ravel()
+    v, st = evaluate(xs[:, None] + np.append((r[:, None] * unit).ravel(), [h, -h]))
+    circles = (xs.size, r.size, nodes)
+    with np.errstate(all="ignore"):
+        d = ((v[:, -2] - v[:, -1]) / (2 * h))[:, None]
+        c1 = (v[:, :-2].reshape(circles) * unit.conj()).mean(axis=2) / r
+        good = np.abs(c1 - d) <= 1e-5 * np.maximum(1.0, np.abs(d))
+    good &= (st[:, :-2].reshape(circles) == OK).all(axis=2)
+    good &= (st[:, -2:] == OK).all(axis=1)[:, None]
+    return np.append(0.0, r)[np.logical_and.accumulate(good, axis=1).sum(axis=1)]
 
 
 def crit_strip_boundary(model):
@@ -200,15 +228,23 @@ def crit_nonvanishing(model):
 
 
 def crit_bijection(model):
-    scan = derivative_positivity_scan(model, -1.9, 3.0, 0.05)
-    worst = 0.0
-    for x in np.linspace(-1.5, 2.5, 17):
-        tx = tet_eval(model, x).real
-        worst = max(worst, abs(slog_eval(model, tx).real - x))
-    stop = scan.truncated_at
-    passed = scan.all_positive and stop is None and worst < 1e-6
-    where = "[-1.9,3]" if stop is None else f"[-1.9,{stop:g}), where the scan stopped"
-    return passed, (f"derivative positive on {where} (min {scan.min_derivative:.3g}); "
+    """tet' > 0 by central differences (h = 1e-4) at the points of [-1.9, 3] in
+    steps of 0.05, up to the first whose stencil is not OK, and slog(tet(x)) = x
+    at 17 points of [-1.5, 2.5], a failed round trip counting as inf."""
+    h = 1e-4
+    xs = np.arange(-1.9, 3.025, 0.05)
+    v, st = tet_grid(model, np.stack([xs + h, xs - h]))
+    good = (st == OK).all(axis=0)
+    stop = xs.size if good.all() else int(np.argmin(good))
+    deriv = (v.real[0, :stop] - v.real[1, :stop]) / (2 * h)
+    low = float(deriv.min()) if stop else math.nan
+    x = np.linspace(-1.5, 2.5, 17)
+    tv, ts = tet_grid(model, x)
+    sv, ss = slog_grid(model, tv.real)
+    worst = float(np.where((ts == OK) & (ss == OK), np.abs(sv.real - x), np.inf).max())
+    passed = stop == xs.size and bool((deriv > 0).all()) and worst < 1e-6
+    where = "[-1.9,3]" if stop == xs.size else f"[-1.9,{xs[stop]:g}), where the scan stopped"
+    return passed, (f"derivative positive on {where} (min {low:.3g}); "
                     f"round-trip worst {worst:.1e} < 1e-6")
 
 

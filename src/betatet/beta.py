@@ -84,14 +84,6 @@ def beta_grid(params, s):
     return _kernels.beta_fixed_grid(s, params.lam, params.depth)
 
 
-def beta_periodicity_check(params, s):
-    """|beta(s + 2 pi i / lambda) - beta(s)| at matched depth (fixed lambda)."""
-    if params.is_variable:
-        raise ValueError("periodicity is defined for fixed lambda only")
-    period = 2j * math.pi / params.lam
-    return abs(beta_eval(params, s + period) - beta_eval(params, s))
-
-
 # -------------------------------------------------------------- Taylor data
 
 @dataclass(frozen=True, eq=False)

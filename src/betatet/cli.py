@@ -72,11 +72,14 @@ def _model_flags(parser, n, k):
 
 
 def _depths(args):
-    """The --profile pair for tet and slog; for the others, the flags over their defaults."""
+    """The --profile pair for tet and slog; for beta and F, the flags over their
+    defaults; g and f take no depth flag."""
     given = (args.depth, args.tau_depth)
     if args.fn not in ("tet", "slog"):
         if args.profile is not None:
             raise ValueError(f"--profile selects the tet and slog model; {args.fn} does not take it")
+        if args.fn in ("g", "f") and given != (None, None):
+            raise ValueError(f"--depth and --tau-depth are for beta and F; {args.fn} takes neither")
         return tuple(d if g is None else g for g, d in zip(given, args.depths))
     if given != (None, None):
         raise ValueError(f"{args.fn} takes its depths from --profile, not --depth or --tau-depth")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .beta import VARIABLE, BetaParams, _integer, beta_grid, f_grid, g_grid
 from .errors import OK, STATUS_NAMES
-from .tau import F_grid, TauConfig
+from .tau import SCHEMES, F_grid, TauConfig
 from .tetration import get_model, slog_grid, tet_grid
 
 FUNCTIONS = ("beta", "g", "f", "F", "tet")
@@ -53,14 +53,18 @@ class RenderSpec:
 
     def __post_init__(self):
         re_min, re_max, im_min, im_max = self.window
-        if not (re_min < re_max and im_min < im_max):
-            raise ValueError("window must satisfy re_min < re_max and im_min < im_max")
+        if not (np.isfinite(self.window).all() and re_min < re_max and im_min < im_max):
+            raise ValueError("window must be finite with re_min < re_max and im_min < im_max")
         w, h = (_integer(v, "resolution") for v in self.resolution)
         if w < 1 or h < 1:
             raise ValueError("resolution must be >= 1x1")
         if self.fn not in FUNCTIONS:
             raise ValueError(f"fn must be one of {FUNCTIONS}")
         check_lam(self.fn, self.lam)
+        if self.scheme is not None and (self.fn != "F" or self.scheme not in SCHEMES):
+            raise ValueError(f"scheme is for fn='F' only, and one of {SCHEMES}")
+        if self.scheme == "variable_lambda" and self.lam != VARIABLE:
+            raise ValueError(f"the variable_lambda scheme requires lam={VARIABLE!r}")
         object.__setattr__(self, "resolution", (w, h))
         object.__setattr__(self, "depth", _integer(self.depth, "depth"))
         object.__setattr__(self, "tau_depth", _integer(self.tau_depth, "tau_depth"))

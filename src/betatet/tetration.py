@@ -25,7 +25,6 @@ grid returns its input's shape.
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +85,6 @@ def _bracket(n, k):
         if abs(Fv[i].imag) > 1e-9 or abs(Fv[i + 1].imag) > 1e-9:
             continue
         lo, hi = Fv[i].real, Fv[i + 1].real
-        if hi <= lo:
-            continue
         if (lo - 1.0) < 0 <= (hi - 1.0):
             return float(xs[i]), float(xs[i + 1])
     raise CalibrationFailed(
@@ -318,36 +315,6 @@ def slog_eval(model, z):
 def exp_iter(model, s, z):
     """Fractional iteration exp o^s (z) = tet(s + slog(z))."""
     return tet_eval(model, complex(s) + slog_eval(model, z))
-
-
-class ScanResult(NamedTuple):
-    all_positive: bool
-    min_derivative: float
-    truncated_at: float | None
-
-    def __bool__(self):
-        return self.all_positive
-
-
-def derivative_positivity_scan(model, lo=-1.9, hi=3.0, step=0.05):
-    """Central-difference derivative of tet > 0 at every real grid point.
-
-    A ShortCircuit truncates the scan; the result records where.
-    """
-    h = 1e-4
-    xs = np.arange(lo, hi + step * 0.5, step)
-    vp, sp = tet_grid(model, xs + h)
-    vm, sm = tet_grid(model, xs - h)
-    good = (sp == OK) & (sm == OK)
-    truncated_at = None
-    if not good.all():
-        first_bad = int(np.argmin(good))
-        truncated_at = float(xs[first_bad])
-        xs, vp, vm = xs[:first_bad], vp[:first_bad], vm[:first_bad]
-    if xs.size == 0:
-        return ScanResult(False, math.nan, truncated_at)
-    deriv = (vp.real - vm.real) / (2 * h)
-    return ScanResult(bool((deriv > 0).all()), float(deriv.min()), truncated_at)
 
 
 _MODEL_CACHE = {}

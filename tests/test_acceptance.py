@@ -6,6 +6,8 @@ criterion under its own name, test_criterion_NN_<what it checks>, so
 summary from the runner itself.
 """
 
+import tempfile
+
 import pytest
 
 from betatet.acceptance import run_all
@@ -60,3 +62,17 @@ def test_run_all_creates_out_dir_before_the_first_criterion(tmp_path):
 
     with pytest.raises(Stop):
         run_all(profile="default", out_dir=str(out_dir), printer=printer)
+
+
+def test_run_all_makes_a_temporary_out_dir_without_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    class Stop(Exception):
+        pass
+
+    def printer(line):
+        raise Stop
+
+    with pytest.raises(Stop):
+        run_all(profile="default", printer=printer)
+    assert [p.name[:15] for p in tmp_path.iterdir()] == ["betatet-accept-"]

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betatet.acceptance as acceptance
 from betatet import (
     BetaParams,
     SingularPoint,
     beta_eval,
     beta_grid,
-    beta_periodicity_check,
     singular_lattice,
 )
 from betatet.errors import OK, SINGULAR
@@ -71,12 +71,19 @@ def test_variable_matches_direct_loop_oracle():
 )
 def test_periodicity(lam, s, depth, tol):
     params = BetaParams(lam=lam, depth=depth)
-    assert beta_periodicity_check(params, s) < tol
+    b, st = beta_grid(params, np.array([s, s + 2j * math.pi / lam]))
+    assert np.all(st == OK)
+    assert abs(b[1] - b[0]) < tol
 
 
-def test_periodicity_variable_rejected():
-    with pytest.raises(ValueError):
-        beta_periodicity_check(BetaParams(lam="variable", depth=10), 0.0)
+def test_failed_point_fails_criterion_2(monkeypatch):
+    # beta is singular at -3 + 0.5i + 2 pi i/log 2: criterion 2 fails with inf, not an exception
+    def fake(params, s):
+        b, st = beta_grid(params, s)
+        return b, np.where(s.imag > 9.5, SINGULAR, st).astype(np.int8)
+
+    monkeypatch.setattr(acceptance, "beta_grid", fake)
+    assert acceptance.crit_periodicity() == (False, "max residual inf < 1e-10 at 10 points")
 
 
 @pytest.mark.parametrize("lam", [0.2, 1.0, 2.0, 0.5 + 3j, 1.0 - 2j])

@@ -299,6 +299,20 @@ def test_profile_flag_is_only_for_tet_and_slog(command, fn, lam, tmp_path, capsy
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("flags", [["--depth", "3"], ["--tau-depth", "7"]],
+                         ids=["depth", "tau-depth"])
+@pytest.mark.parametrize("fn", ["g", "f"])
+@pytest.mark.parametrize("command", _OTHER_ARGV)
+def test_g_and_f_take_no_depth_flags(command, fn, flags, tmp_path, capsys):
+    # g and f are the Taylor-data limit and read no depth; the flags used to be
+    # ignored, so eval g --depth 3 printed the same value as without it
+    out = tmp_path / "out"
+    argv = [a.format(fn=fn, lam="0.69", out=out) for a in _OTHER_ARGV[command]]
+    assert main(argv + flags) == 2
+    assert "--depth and --tau-depth are for beta and F" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("profile", [None, "high"])
 def test_profile_flag_selects_the_tet_and_slog_model(profile, tmp_path, capsys):
     # eval, plot and line all evaluate tet and slog with get_model(profile=...)

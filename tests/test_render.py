@@ -141,6 +141,17 @@ def test_render_spec_validation():
     assert spec.resolution == (1, 2) and spec.depth == 25
     assert {type(spec.resolution[0]), type(spec.resolution[1]), type(spec.depth)} == {int}
     assert render_hue(spec).to_ppm().startswith(b"P6\n1 2\n255\n")
+    # a non-finite window edge used to render all gray, and a scheme was checked
+    # only in render_hue (fn F) or ignored (any other fn)
+    for window in ((-np.inf, 1, -1, 1), (-1, 1, -1, np.nan)):
+        with pytest.raises(ValueError, match="window must be finite"):
+            RenderSpec(window=window, resolution=(2, 2), fn="g", lam=LOG2)
+    for fn, lam, scheme in (("F", LOG2, "bogus"), ("beta", LOG2, "fixed_n"),
+                            ("tet", None, "variable_lambda"), ("F", LOG2, "variable_lambda")):
+        with pytest.raises(ValueError, match="scheme"):
+            RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn=fn, lam=lam, scheme=scheme)
+    for lam, scheme in ((LOG2, "fixed_n"), ("variable", "fixed_n"), ("variable", "variable_lambda")):
+        RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn="F", lam=lam, scheme=scheme)
 
 
 def test_render_spec_rejects_a_fixed_lambda_for_tet():

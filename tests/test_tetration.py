@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import betatet.acceptance as acceptance
 import betatet.tetration as tetration
 from betatet import (
     BetaTetError,
     BranchCut,
     DomainError,
-    derivative_positivity_scan,
     exp_iter,
     get_model,
     slog_eval,
@@ -17,8 +17,8 @@ from betatet import (
     tet_eval,
     tet_grid,
 )
-from betatet.acceptance import (_grid, cauchy_riemann_ok, circle_mean_ok, crit_bijection,
-                                crit_strip_boundary)
+from betatet.acceptance import (_grid, analytic_radius, cauchy_riemann_ok, circle_mean_ok,
+                                crit_anchors, crit_bijection, crit_strip_boundary)
 from betatet.beta import beta_grid, f_grid, g_grid
 from betatet.errors import (_STATUS_EXC, OK, BRANCH_CUT, DOMAIN, NO_CONVERGENCE, NONFINITE,
                             SHORT_CIRCUIT)
@@ -50,6 +50,14 @@ def test_bracket_skips_a_pair_whose_f_is_not_real(monkeypatch):
     # F crosses 1 between 1 and 2 with a nonzero imaginary part: that pair is
     # skipped, and the real crossing between 4 and 5 is the bracket
     _fake_f(monkeypatch, lambda xs: (np.where(xs < 3, xs - 0.5 + 1j, xs - 3.5 + 0j),
+                                     np.zeros(xs.size, np.int8)))
+    assert tetration._bracket(25, 5) == (4.0, 5.0)
+
+
+def test_bracket_skips_a_pair_where_f_decreases_through_1(monkeypatch):
+    # F falls through 1 between 1 and 2 (1.5 -> 0.5): not a bracket; it rises
+    # through 1 between 4 and 5
+    _fake_f(monkeypatch, lambda xs: (np.where(xs < 3, 2.5 - xs, xs - 3.5) + 0j,
                                      np.zeros(xs.size, np.int8)))
     assert tetration._bracket(25, 5) == (4.0, 5.0)
 
@@ -215,30 +223,49 @@ def test_exp_iter_real_positive(high_model):
     assert val.real > 0
 
 
-def test_positivity_scan(high_model):
-    scan = derivative_positivity_scan(high_model, -1.9, 3.0, 0.05)
-    assert scan
-    assert scan.truncated_at is None
-    scan2 = derivative_positivity_scan(high_model, 0.0, 2.0, 0.1)
-    assert scan2.all_positive
-    # tet short-circuits from the first point on: no derivative, truncated at the start
-    scan3 = derivative_positivity_scan(high_model, 8.0, 9.0, 0.5)
-    assert not scan3
-    assert math.isnan(scan3.min_derivative) and scan3.truncated_at == 8.0
+def _failing_tet_grid(monkeypatch, failed):
+    """Point acceptance.tet_grid at tet_grid with SHORT_CIRCUIT where failed(Z)."""
+    def fake(model, Z):
+        v, st = tet_grid(model, Z)
+        return v, np.where(failed(np.asarray(Z)), SHORT_CIRCUIT, st).astype(np.int8)
+
+    monkeypatch.setattr(acceptance, "tet_grid", fake)
 
 
 def test_truncated_scan_fails_criterion_10(high_model, monkeypatch):
     # the round-trip points stay at or below 2.5, so only the scan sees the failures
-    real_tet_grid = tetration.tet_grid
-
-    def failing_right(model, Z):
-        v, st = real_tet_grid(model, Z)
-        return v, np.where(np.real(Z) > 2.6, SHORT_CIRCUIT, st).astype(np.int8)
-
-    monkeypatch.setattr(tetration, "tet_grid", failing_right)
+    _failing_tet_grid(monkeypatch, lambda Z: Z.real > 2.6)
     passed, detail = crit_bijection(high_model)
     assert not passed
     assert "stopped" in detail and "[-1.9,2.6)" in detail
+
+
+def test_scan_stopped_at_its_first_point_fails_criterion_10(high_model, monkeypatch):
+    # no stencil is OK: no derivative at all, and the scan stops where it starts
+    _failing_tet_grid(monkeypatch, lambda Z: Z.real > -3)
+    passed, detail = crit_bijection(high_model)
+    assert not passed
+    assert "[-1.9,-1.9), where the scan stopped (min nan)" in detail
+
+
+def test_failed_round_trip_point_fails_criterion_10(high_model, monkeypatch):
+    # slog does not converge at tet(1): the scan still passes, the round trip reads inf
+    def fake(model, Z):
+        v, st = slog_grid(model, Z)
+        return v, np.where(np.abs(Z - math.e) < 1e-9, NO_CONVERGENCE, st).astype(np.int8)
+
+    monkeypatch.setattr(acceptance, "slog_grid", fake)
+    passed, detail = crit_bijection(high_model)
+    assert not passed
+    assert detail.startswith("derivative positive on [-1.9,3]") and "worst inf" in detail
+
+
+def test_failed_anchor_fails_criterion_6(high_model, monkeypatch):
+    # tet(2) short-circuits: criterion 6 fails with its detail line instead of raising
+    _failing_tet_grid(monkeypatch, lambda Z: Z.real == 2.0)
+    passed, detail, _ = crit_anchors(high_model, 0.0)
+    assert not passed
+    assert detail.count("=inf") == 1 and "|tet(2)-e^e|=inf" in detail
 
 
 def test_monotone_strip(high_model):
@@ -539,6 +566,30 @@ def test_tet_circle_mean_near_the_axis(high_model):
     # of |s - c| = 0.01 each
     assert circle_mean_ok(lambda z: tet_grid(high_model, z), _grid(-1, 1, 41, 0.02, 0.1, 5),
                           r=0.01, nodes=32).all()
+
+
+# R(x) at 20 base points, from 64 nodes on each circle; a tetration holomorphic
+# off (-inf, -2] has R = 0.5, the largest radius, at every one of them
+_RADIUS_XS = np.linspace(-0.95, 0.95, 20)
+_RADII = (0.5, 0.1, 0.02, 0.005, 0.001)
+
+
+def test_analytic_radius_holds_for_exp_exp():
+    # guards the measure itself: exp(exp(s)) is entire
+    R = analytic_radius(lambda z: (np.exp(np.exp(z)), np.zeros(z.shape, np.int8)),
+                        _RADIUS_XS, _RADII, 64)
+    assert (R == 0.5).all()
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param("default", marks=pytest.mark.xfail(
+        strict=True, reason="median R 0.0125, max 0.02")),
+    pytest.param("high", marks=pytest.mark.xfail(
+        strict=True, reason="median R 0.005, max 0.02, R = 0 at x = -0.45 and 0.55")),
+])
+def test_tet_analytic_radius_on_the_base_interval(profile):
+    model = get_model(profile=profile)
+    assert (analytic_radius(lambda z: tet_grid(model, z), _RADIUS_XS, _RADII, 64) == 0.5).all()
 
 
 @pytest.mark.parametrize("profile", [
