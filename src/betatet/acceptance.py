@@ -44,9 +44,7 @@ def crit_functional_equation():
     excluded = 0
     total = 0
     for lam in (LOG2, 1.0, 0.5 + 3j):
-        params = BetaParams(lam=lam, depth=100)
-        b0, s0 = beta_grid(params, pts)
-        b1, s1 = beta_grid(params, pts + 1)
+        (b0, b1), (s0, s1) = beta_grid(BetaParams(lam=lam, depth=100), np.stack([pts, pts + 1]))
         ok = (s0 == OK) & (s1 == OK)
         total += pts.size
         excluded += int(np.sum(~ok))
@@ -67,8 +65,8 @@ def crit_periodicity():
     worst = 0.0
     for lam in (LOG2, 1.0):
         params = BetaParams(lam=lam, depth=100)
-        b0, s0 = beta_grid(params, samples)
-        b1, s1 = beta_grid(params, samples + 2j * math.pi / params.lam)
+        shifted = samples + 2j * math.pi / params.lam
+        (b0, b1), (s0, s1) = beta_grid(params, np.stack([samples, shifted]))
         resid = np.where((s0 == OK) & (s1 == OK), np.abs(b1 - b0), np.inf)
         worst = max(worst, float(resid.max()))
     return worst < 1e-10, f"max residual {worst:.3e} < 1e-10 at 10 points"
@@ -135,19 +133,19 @@ def crit_anchors(model, calib_seconds):
               and elapsed < 30.0)
     detail = (f"|tet(0)-1|={a0:.1e}, |tet(1)-e|={a1:.1e}, |tet(-1)|={am:.1e}, "
               f"|tet(2)-e^e|={a2:.1e}, {elapsed:.1f}s < 30s")
-    return passed, detail, elapsed
+    return passed, detail
 
 
-def cauchy_riemann_ok(model):
+def cauchy_riemann_ok(evaluate):
     """Per point of the 36 x 20 grid over [-1.5,2] x [0.1,2]: an OK stencil and
-    |f_y - i f_x| <= 1e-3 max(1, |f_x|), with central differences of step 1e-5."""
+    |f_y - i f_x| <= 1e-3 max(1, |f_x|), with central differences of step 1e-5.
+    evaluate maps an array to (values, status) of its shape."""
     Z, h = _grid(-1.5, 2, 36, 0.1, 2, 20), 1e-5
-    (vx, sx), (vmx, smx), (vy, sy), (vmy, smy) = (
-        tet_grid(model, Z + d) for d in (h, -h, 1j * h, -1j * h))
+    v, st = evaluate(Z + np.array([h, -h, 1j * h, -1j * h])[:, None])
     with np.errstate(all="ignore"):
-        fx, fy = (vx - vmx) / (2 * h), (vy - vmy) / (2 * h)
+        fx, fy = (v[0] - v[1]) / (2 * h), (v[2] - v[3]) / (2 * h)
         cr = np.abs(fy - 1j * fx) <= 1e-3 * np.maximum(1.0, np.abs(fx))
-    return (sx == OK) & (smx == OK) & (sy == OK) & (smy == OK) & cr
+    return (st == OK).all(axis=0) & cr
 
 
 def circle_mean_ok(evaluate, centres, r, nodes):
@@ -199,8 +197,7 @@ def crit_strip_boundary(model):
     Where it is not 0, tet jumps across Re s = 0 off the real axis.
     """
     s = model.x0 - 1 + 1j * np.linspace(0.1, 2.0, 39)
-    F0, s0 = F_grid(model.params, model.config, s)
-    F1, s1 = F_grid(model.params, model.config, s + 1)
+    (F0, F1), (s0, s1) = F_grid(model.params, model.config, np.stack([s, s + 1]))
     ok = (s0 == OK) & (s1 == OK)
     with np.errstate(all="ignore"):
         defect = np.abs(F1 - np.exp(F0)) / np.maximum(1.0, np.abs(F1))
@@ -213,7 +210,7 @@ def crit_strip_boundary(model):
 def crit_cauchy_riemann(model):
     """Cauchy-Riemann holds at 670 or more of the 720 criterion-9 grid points
     (0.9306, the share measured at the high profile)."""
-    good = int(cauchy_riemann_ok(model).sum())
+    good = int(cauchy_riemann_ok(lambda z: tet_grid(model, z)).sum())
     return good >= 670, f"Cauchy-Riemann holds at {good}/720 >= 670 grid points"
 
 
@@ -260,20 +257,17 @@ def crit_semigroup(model):
 def crit_render(out_dir):
     t0 = time.time()
     spec = RenderSpec(window=(-1, 1, -1, 1), resolution=(800, 800), fn="f", lam=LOG2, depth=25)
-    buf1 = render_hue(spec)
-    buf2 = render_hue(spec)
+    bufs = [render_hue(spec), render_hue(spec)]
     elapsed = time.time() - t0
-    b1, b2 = buf1.to_ppm(), buf2.to_ppm()
-    p1 = os.path.join(out_dir, "f_log2_a.ppm")
-    p2 = os.path.join(out_dir, "f_log2_b.ppm")
-    buf1.save(p1)
-    buf2.save(p2)
-    with open(p1, "rb") as fh:
-        d1 = fh.read()
-    with open(p2, "rb") as fh:
-        d2 = fh.read()
-    passed = (b1 == b2) and (d1 == d2) and elapsed < 60.0
-    return passed, f"two 800x800 renders byte-identical ({len(b1)} bytes), {elapsed:.1f}s < 60s"
+    ppm = [buf.to_ppm() for buf in bufs]
+    copies = set(ppm)
+    for tag, buf in zip("ab", bufs):
+        path = os.path.join(out_dir, f"f_log2_{tag}.ppm")
+        buf.save(path)
+        with open(path, "rb") as fh:
+            copies.add(fh.read())
+    passed = len(copies) == 1 and elapsed < 60.0
+    return passed, f"two 800x800 renders byte-identical ({len(ppm[0])} bytes), {elapsed:.1f}s < 60s"
 
 
 def run_all(profile="high", out_dir=None, printer=print):
@@ -289,35 +283,29 @@ def run_all(profile="high", out_dir=None, printer=print):
     model = calibrate(profile=profile)
     calib_seconds = time.time() - t0
 
+    criteria = [
+        ("beta functional equation", crit_functional_equation),
+        ("beta periodicity", crit_periodicity),
+        ("Taylor coefficients vs derivative oracle", crit_taylor),
+        ("pullback convergence in k", crit_tau_convergence),
+        ("pullback defect decay", crit_tau_decay),
+        ("tetration anchors", lambda: crit_anchors(model, calib_seconds)),
+        ("strip boundary of F", lambda: crit_strip_boundary(model)),
+        ("Cauchy-Riemann share of tet", lambda: crit_cauchy_riemann(model)),
+        ("non-vanishing in the upper half-plane", lambda: crit_nonvanishing(model)),
+        ("real bijection and inverse round trip", lambda: crit_bijection(model)),
+        ("fractional-iteration semigroup", lambda: crit_semigroup(model)),
+        ("render determinism and speed", lambda: crit_render(out_dir)),
+    ]
     results = []
-
-    def run(number, name, fn, *args):
+    for number, (name, check) in enumerate(criteria, 1):
         t = time.time()
-        out = fn(*args)
-        if len(out) == 3:
-            passed, detail, seconds = out
-        else:
-            passed, detail = out
-            seconds = time.time() - t
-        res = CriterionResult(number, name, bool(passed), detail, seconds)
+        passed, detail = check()
+        res = CriterionResult(number, name, bool(passed), detail, time.time() - t)
         results.append(res)
         if printer:
             tag = "PASS" if res.passed else "FAIL"
-            printer(f"[{tag}] {number:2d}. {name}: {detail} ({seconds:.2f}s)")
-        return res
-
-    run(1, "beta functional equation", crit_functional_equation)
-    run(2, "beta periodicity", crit_periodicity)
-    run(3, "Taylor coefficients vs derivative oracle", crit_taylor)
-    run(4, "pullback convergence in k", crit_tau_convergence)
-    run(5, "pullback defect decay", crit_tau_decay)
-    run(6, "tetration anchors", crit_anchors, model, calib_seconds)
-    run(7, "strip boundary of F", crit_strip_boundary, model)
-    run(8, "Cauchy-Riemann share of tet", crit_cauchy_riemann, model)
-    run(9, "non-vanishing in the upper half-plane", crit_nonvanishing, model)
-    run(10, "real bijection and inverse round trip", crit_bijection, model)
-    run(11, "fractional-iteration semigroup", crit_semigroup, model)
-    run(12, "render determinism and speed", crit_render, out_dir)
+            printer(f"[{tag}] {number:2d}. {name}: {detail} ({res.seconds:.2f}s)")
 
     if printer:
         bad = [r for r in results if not r.passed]

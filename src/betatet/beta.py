@@ -52,7 +52,10 @@ class BetaParams:
 
 def _fixed_lam(lam):
     """lam as a complex number; ValueError unless it is finite with Re(lambda) > 0."""
-    lam = complex(lam)
+    try:
+        lam = complex(lam)
+    except (TypeError, ValueError):
+        raise ValueError(f"lambda must be a complex number, got {lam!r}") from None
     if not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     if lam.real <= 0:

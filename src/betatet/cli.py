@@ -73,13 +73,15 @@ def _model_flags(parser, n, k):
 
 def _depths(args):
     """The --profile pair for tet and slog; for beta and F, the flags over their
-    defaults; g and f take no depth flag."""
+    defaults; beta takes no --tau-depth, and g and f no depth flag."""
     given = (args.depth, args.tau_depth)
     if args.fn not in ("tet", "slog"):
         if args.profile is not None:
             raise ValueError(f"--profile selects the tet and slog model; {args.fn} does not take it")
         if args.fn in ("g", "f") and given != (None, None):
             raise ValueError(f"--depth and --tau-depth are for beta and F; {args.fn} takes neither")
+        if args.fn == "beta" and args.tau_depth is not None:
+            raise ValueError("--tau-depth is for F; beta takes --depth only")
         return tuple(d if g is None else g for g, d in zip(given, args.depths))
     if given != (None, None):
         raise ValueError(f"{args.fn} takes its depths from --profile, not --depth or --tau-depth")
@@ -132,7 +134,7 @@ def build_parser():
 
 def _cmd_eval(args):
     fn, z = args.fn, args.point
-    values, status = _evaluate_fn(fn, args.lam, *_depths(args), None, z)
+    values, status = _evaluate_fn(fn, args.lam, *_depths(args), z)
     raise_for_status(status, f"{fn} at s={z}")
     print(format_complex(values))
     return 0

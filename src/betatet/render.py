@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beta import VARIABLE, BetaParams, _integer, beta_grid, f_grid, g_grid
+from .beta import VARIABLE, BetaParams, _fixed_lam, _integer, beta_grid, f_grid, g_grid
 from .errors import OK, STATUS_NAMES
 from .tau import SCHEMES, F_grid, TauConfig
 from .tetration import get_model, slog_grid, tet_grid
@@ -100,16 +100,19 @@ def pixel_grid(spec):
 
 def check_lam(fn, lam):
     """The fn/lambda rule: beta and F need a lambda, g and f a fixed one, and
-    tet and slog, which are variable-family only, take none or 'variable'."""
+    tet and slog, which are variable-family only, take none or 'variable'.  A
+    fixed lambda must be finite with Re(lambda) > 0."""
     if fn in ("beta", "F") and lam is None:
         raise ValueError(f"{fn} requires a lambda (a complex number or {VARIABLE!r})")
     if fn in ("g", "f") and (lam is None or lam == VARIABLE):
         raise ValueError(f"{fn} requires a fixed lambda")
     if fn in ("tet", "slog") and not (lam is None or lam == VARIABLE):
         raise ValueError(f"{fn} takes no fixed lambda (omit it or use {VARIABLE!r})")
+    if lam is not None and lam != VARIABLE:
+        _fixed_lam(lam)
 
 
-def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
+def _evaluate_fn(fn, lam, depth, tau_depth, Z):
     """(values, status) of fn over Z."""
     check_lam(fn, lam)
     if fn == "beta":
@@ -118,8 +121,7 @@ def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
     if fn in ("g", "f"):
         return (g_grid if fn == "g" else f_grid)(lam, Z)
     if fn == "F":
-        config = TauConfig(n=depth, k=tau_depth, scheme=scheme or "fixed_n")
-        return F_grid(BetaParams(lam=lam, depth=depth), config, Z)
+        return F_grid(BetaParams(lam=lam, depth=depth), TauConfig(n=depth, k=tau_depth), Z)
     if fn == "tet":
         return tet_grid(get_model(n=depth, k=tau_depth), Z)
     if fn == "slog":
@@ -128,7 +130,7 @@ def _evaluate_fn(fn, lam, depth, tau_depth, scheme, Z):
 
 
 def _evaluate(spec, Z):
-    return _evaluate_fn(spec.fn, spec.lam, spec.depth, spec.tau_depth, spec.scheme, Z)
+    return _evaluate_fn(spec.fn, spec.lam, spec.depth, spec.tau_depth, Z)
 
 
 def _hsl_to_rgb(h, lightness):
@@ -212,8 +214,7 @@ def export_real_line(fn, lam=None, lo=0.0, hi=1.0, samples=100, depth=None,
     if fn not in ("tet", "slog"):
         depth, tau_depth = 100 if depth is None else depth, 10 if tau_depth is None else tau_depth
     xs = np.linspace(lo, hi, samples)
-    values, status = _evaluate_fn(fn, lam, depth, tau_depth, None,
-                                  xs.astype(np.complex128))
+    values, status = _evaluate_fn(fn, lam, depth, tau_depth, xs.astype(np.complex128))
     return [(x, v if code == OK else None, STATUS_NAMES[code])
             for x, v, code in zip(xs.tolist(), values.tolist(), status.tolist())]
 

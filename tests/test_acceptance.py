@@ -8,9 +8,12 @@ summary from the runner itself.
 
 import tempfile
 
+import numpy as np
 import pytest
 
-from betatet.acceptance import run_all
+import betatet.acceptance as acceptance
+from betatet.acceptance import (cauchy_riemann_ok, crit_functional_equation, crit_periodicity,
+                                crit_strip_boundary, run_all)
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +79,43 @@ def test_run_all_makes_a_temporary_out_dir_without_one(tmp_path, monkeypatch):
     with pytest.raises(Stop):
         run_all(profile="default", printer=printer)
     assert [p.name[:15] for p in tmp_path.iterdir()] == ["betatet-accept-"]
+
+
+def _spy(monkeypatch, name):
+    """Record the calls that acceptance makes to its evaluator `name`."""
+    calls = []
+    real = getattr(acceptance, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(acceptance, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("crit,lams", [(crit_functional_equation, 3), (crit_periodicity, 2)],
+                         ids=["criterion_1", "criterion_2"])
+def test_beta_criteria_make_one_beta_grid_call_per_lambda(crit, lams, monkeypatch):
+    # each lambda evaluates its points and their shifts as one stacked batch
+    calls = _spy(monkeypatch, "beta_grid")
+    assert crit()[0]
+    assert len(calls) == lams
+
+
+def test_strip_boundary_makes_one_F_grid_call(high_model, monkeypatch):
+    calls = _spy(monkeypatch, "F_grid")
+    assert crit_strip_boundary(high_model)[0]
+    assert len(calls) == 1
+
+
+def test_cauchy_riemann_makes_one_evaluator_call():
+    # the four shifts of the stencil go to the evaluator as one 4 x 720 batch
+    shapes = []
+
+    def evaluate(z):
+        shapes.append(z.shape)
+        return np.exp(np.exp(z)), np.zeros(z.shape, np.int8)
+
+    assert cauchy_riemann_ok(evaluate).all()
+    assert shapes == [(4, 720)]

@@ -313,6 +313,18 @@ def test_g_and_f_take_no_depth_flags(command, fn, flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", _OTHER_ARGV)
+def test_beta_takes_no_tau_depth_flag(command, tmp_path, capsys):
+    # beta reads no tau depth; the flag used to be ignored, so eval beta --tau-depth 7
+    # printed the same value as without it
+    out = tmp_path / "out"
+    argv = [a.format(fn="beta", lam="0.69", out=out) for a in _OTHER_ARGV[command]]
+    assert main(argv + ["--tau-depth", "7"]) == 2
+    assert "--tau-depth is for F" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--depth", "25"]) == 0
+
+
 @pytest.mark.parametrize("profile", [None, "high"])
 def test_profile_flag_selects_the_tet_and_slog_model(profile, tmp_path, capsys):
     # eval, plot and line all evaluate tet and slog with get_model(profile=...)

@@ -152,6 +152,10 @@ def test_render_spec_validation():
             RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn=fn, lam=lam, scheme=scheme)
     for lam, scheme in ((LOG2, "fixed_n"), ("variable", "fixed_n"), ("variable", "variable_lambda")):
         RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn="F", lam=lam, scheme=scheme)
+    # an invalid fixed lambda used to construct and fail only in render_hue
+    for fn, lam in (("beta", -1.0), ("F", np.inf), ("g", -2.0), ("beta", "bogus"), ("f", 1j)):
+        with pytest.raises(ValueError, match="lambda"):
+            RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn=fn, lam=lam)
 
 
 def test_render_spec_rejects_a_fixed_lambda_for_tet():
@@ -223,7 +227,7 @@ def test_export_rows_are_python_scalars():
     # rows built from .tolist() equal a per-element conversion, element types included
     rows = export_real_line("tet", lo=-2.6, hi=3.0, samples=57, depth=25, tau_depth=5)
     xs = np.linspace(-2.6, 3.0, 57)
-    values, status = _evaluate_fn("tet", None, 25, 5, None, xs.astype(np.complex128))
+    values, status = _evaluate_fn("tet", None, 25, 5, xs.astype(np.complex128))
     want = [(float(x), complex(v) if int(st) == OK else None, STATUS_NAMES[int(st)])
             for x, v, st in zip(xs, values, status)]
     assert {st for _, _, st in rows} > {"ok"}

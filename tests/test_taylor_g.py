@@ -211,12 +211,12 @@ def test_render_rejects_ill_conditioned_push_out():
     # 400, with status ok; g and f no longer take a depth
     w = np.array([76.66 + 1035.67j])
     for fn, z in (("g", w), ("f", 1.0 / w)):
-        _, st = _evaluate_fn(fn, 0.05, 400, 5, None, z)
+        _, st = _evaluate_fn(fn, 0.05, 400, 5, z)
         assert st[0] == SHORT_CIRCUIT, fn
     z = seeded_w(np.random.default_rng(9), 200)
     for fn in ("g", "f"):
-        a, sa = _evaluate_fn(fn, LOG2, 400, 5, None, z)
-        b, sb = _evaluate_fn(fn, LOG2, 3, 5, None, z)
+        a, sa = _evaluate_fn(fn, LOG2, 400, 5, z)
+        b, sb = _evaluate_fn(fn, LOG2, 3, 5, z)
         assert np.array_equal(sa, sb) and a[sa == OK].tobytes() == b[sb == OK].tobytes()
 
 
@@ -253,7 +253,7 @@ def mp_taylor_push_out(lam, w):
 def test_g_ok_points_match_mpmath_push_out(lam):
     rng = np.random.default_rng(31)
     w = np.append(seeded_w(rng, 40), 76.66 + 1035.67j)
-    values, status = _evaluate_fn("g", lam, 400, 5, None, w)
+    values, status = _evaluate_fn("g", lam, 400, 5, w)
     assert np.count_nonzero(status == OK) >= 20
     for z, v in zip(w[status == OK], values[status == OK]):
         ref = mp_taylor_push_out(lam, z)

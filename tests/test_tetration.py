@@ -263,7 +263,7 @@ def test_failed_round_trip_point_fails_criterion_10(high_model, monkeypatch):
 def test_failed_anchor_fails_criterion_6(high_model, monkeypatch):
     # tet(2) short-circuits: criterion 6 fails with its detail line instead of raising
     _failing_tet_grid(monkeypatch, lambda Z: Z.real == 2.0)
-    passed, detail, _ = crit_anchors(high_model, 0.0)
+    passed, detail = crit_anchors(high_model, 0.0)
     assert not passed
     assert detail.count("=inf") == 1 and "|tet(2)-e^e|=inf" in detail
 
@@ -524,7 +524,14 @@ def test_slog_seam_gap_target_fails_within_three_calls(profile, target, monkeypa
 def test_tet_cauchy_riemann_on_criterion_9_box(profile):
     # holomorphy gate: every point of the 36 x 20 grid over [-1.5,2] x [0.1,2] has an
     # OK stencil and |f_y - i f_x| <= 1e-3 max(1, |f_x|), with perfbench's cr_ok_frac step
-    assert cauchy_riemann_ok(get_model(profile=profile)).all()
+    model = get_model(profile=profile)
+    assert cauchy_riemann_ok(lambda z: tet_grid(model, z)).all()
+
+
+def test_cauchy_riemann_holds_for_exp_exp():
+    # guards the check itself: exp(exp(s)) is entire, so CR holds at every point
+    # of the criterion-9 grid
+    assert cauchy_riemann_ok(lambda z: (np.exp(np.exp(z)), np.zeros(z.shape, np.int8))).all()
 
 
 def test_circle_mean_holds_for_exp_exp():
@@ -579,6 +586,17 @@ def test_analytic_radius_holds_for_exp_exp():
     R = analytic_radius(lambda z: (np.exp(np.exp(z)), np.zeros(z.shape, np.int8)),
                         _RADIUS_XS, _RADII, 64)
     assert (R == 0.5).all()
+
+
+@pytest.mark.parametrize("lam", [math.log(2), 0.5 + 3j, 1.0], ids=["log2", "0.5+3i", "1"])
+def test_analytic_radius_holds_for_g_grid(lam):
+    # guards the measure on one of the package's own evaluators: at 12 real centres
+    # of [-R/2, R/2], R = e^{Re lambda}, circles of radius R/10, the radius of
+    # test_circle_mean_holds_for_g_grid, stay inside g's disk of holomorphy
+    R = math.exp(complex(lam).real)
+    radius = analytic_radius(lambda w: g_grid(lam, w), np.linspace(-R / 2, R / 2, 12),
+                             (R / 10, R / 50, R / 250), 64)
+    assert (radius == R / 10).all()
 
 
 @pytest.mark.parametrize("profile", [
