@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import DOMAIN, NONFINITE, OK, SHORT_CIRCUIT, ShortCircuit, raise_for_status
+from .errors import DOMAIN, NONFINITE, OK, SHORT_CIRCUIT, ShortCircuit, scalar
 
 VARIABLE = "variable"
 
@@ -51,8 +51,11 @@ class BetaParams:
 
 
 def _fixed_lam(lam):
-    """lam as a complex number; ValueError unless it is finite with Re(lambda) > 0."""
+    """lam as a complex number; ValueError unless it is a finite number (no
+    string) with Re(lambda) > 0."""
     try:
+        if isinstance(lam, str):
+            raise TypeError
         lam = complex(lam)
     except (TypeError, ValueError):
         raise ValueError(f"lambda must be a complex number, got {lam!r}") from None
@@ -75,9 +78,7 @@ def _integer(value, name):
 
 def beta_eval(params, s):
     """Depth-n truncation at one point: beta_grid of one, raising on a failure status."""
-    values, status = beta_grid(params, complex(s))
-    raise_for_status(status, "beta evaluation")
-    return complex(values)
+    return scalar(beta_grid(params, complex(s)), "beta evaluation")
 
 
 def beta_grid(params, s):
@@ -176,29 +177,18 @@ def f_grid(lam, w):
 
 def g_eval(lam, w):
     """g at one point: g_grid of one, raising on a failure status."""
-    return _g_one(lam, w, reciprocal=False)
+    return scalar(g_grid(lam, complex(w)), f"g({w})")
 
 
 def f_eval(lam, w):
     """f at one point: f_grid of one; satisfies f(e^{-lambda} w) = e^{f(w)}/(1+w)."""
-    return _g_one(lam, w, reciprocal=True)
-
-
-def _g_one(lam, w, reciprocal):
-    values, status, cond = _g_points(lam, complex(w), reciprocal)
-    value, name = complex(values), "f" if reciprocal else "g"
-    if cond > _PUSH_COND_MAX:
-        raise ShortCircuit(f"{name}({w}) push-out is ill-conditioned (estimate {cond:.3g})")
-    if status == SHORT_CIRCUIT and cmath.isfinite(value):
-        raise ShortCircuit("push-out exponential exceeds double range", last_value=value)
-    raise_for_status(status, f"{name}({w})")
-    return value
+    return scalar(f_grid(lam, complex(w)), f"f({w})")
 
 
 def _g_points(lam, w, reciprocal=False):
     """g_grid (or f_grid) values and status, and the push-out condition
     estimate: 0 where no push-out finished."""
-    series = _cached_series(complex(lam))
+    series = _cached_series(_fixed_lam(lam))
     w = np.asarray(w, np.complex128)
     shape, zero = w.shape, reciprocal & (w == 0)
     with np.errstate(all="ignore"):

@@ -12,7 +12,7 @@ import re
 import sys
 
 from .beta import VARIABLE, taylor_coefficients
-from .errors import BetaTetError, raise_for_status
+from .errors import BetaTetError, scalar
 from .render import (FUNCTIONS, Overlay, RenderSpec, _evaluate_fn, export_real_line, render_hue,
                      write_csv)
 from .tetration import PROFILES, get_model
@@ -134,9 +134,7 @@ def build_parser():
 
 def _cmd_eval(args):
     fn, z = args.fn, args.point
-    values, status = _evaluate_fn(fn, args.lam, *_depths(args), z)
-    raise_for_status(status, f"{fn} at s={z}")
-    print(format_complex(values))
+    print(format_complex(scalar(_evaluate_fn(fn, args.lam, *_depths(args), z), f"{fn} at s={z}")))
     return 0
 
 

@@ -3,7 +3,9 @@
 Numerical failure here is a *signal*, not an exception in the mathematics:
 deep exponential towers overflow doubles by design, log pullbacks can land
 on the principal branch cut, and the map families have excluded lattice
-points.  Scalar APIs raise; grid APIs return a status plane instead.
+points.  Grid APIs return a status plane; every scalar API is its grid on a
+0-d point passed through `scalar`, which raises the signal of a failure
+status, so a scalar call fails exactly where its grid's status does.
 """
 
 # status codes used by the grid kernels and grid-level evaluators
@@ -39,14 +41,12 @@ class BetaTetError(Exception):
 
 
 class ShortCircuit(BetaTetError):
-    """Overflow guard tripped: an intermediate would exceed double range.
+    """An evaluation stopped early: an intermediate would exceed double range,
+    or the result would carry more rounding error than its evaluator allows.
 
-    Carries the last finite iterate when one exists.
+    A grid's values keep the last finite iterate at such a point, where one
+    exists; the scalar call raises this signal instead.
     """
-
-    def __init__(self, message="overflow guard tripped", last_value=None):
-        super().__init__(message)
-        self.last_value = last_value
 
 
 class SingularPoint(BetaTetError):
@@ -83,10 +83,10 @@ _STATUS_EXC = {
 }
 
 
-def raise_for_status(code, context=""):
-    """Raise the signal matching a nonzero grid status code."""
-    if code == OK:
-        return
-    exc = _STATUS_EXC.get(int(code), BetaTetError)
-    name = STATUS_NAMES.get(int(code), str(code))
-    raise exc(f"{name}{': ' + context if context else ''}")
+def scalar(result, context):
+    """A grid's (value, status) on a 0-d point as a complex number; a failure
+    status raises its signal, with the message "<status name>: <context>"."""
+    value, status = result
+    if status != OK:
+        raise _STATUS_EXC[int(status)](f"{STATUS_NAMES[int(status)]}: {context}")
+    return complex(value)

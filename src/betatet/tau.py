@@ -63,7 +63,7 @@ import numpy as np
 
 from . import _kernels
 from .beta import _integer
-from .errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, raise_for_status
+from .errors import NONFINITE, OK, SHORT_CIRCUIT, SINGULAR, scalar
 
 SCHEMES = ("fixed_n", "variable_lambda")
 
@@ -317,6 +317,4 @@ def F_grid(params, config, s):
 
 def F_eval(params, config, s):
     """F(s) = beta(s) + tau(s): F_grid of one, raising on a failure status."""
-    F, fst = F_grid(params, config, complex(s))
-    raise_for_status(fst, "F evaluation")
-    return complex(F)
+    return scalar(F_grid(params, config, complex(s)), "F evaluation")

@@ -37,9 +37,8 @@ from .errors import (
     OK,
     SHORT_CIRCUIT,
     OVERFLOW_GUARD,
-    BranchCut,
     CalibrationFailed,
-    raise_for_status,
+    scalar,
 )
 from .tau import F_grid, TauConfig, _on_cut
 
@@ -147,7 +146,7 @@ def calibrate(profile="default", n=None, k=None):
     if not np.all(np.diff(table_v) > 0):
         raise CalibrationFailed("tetration not increasing on the base interval")
     model = replace(model, table_x=table_x, table_v=table_v)
-    anchor = abs(complex(tet_eval(model, 0.0)) - 1.0)
+    anchor = abs(table_v[128] - 1.0)     # table_x[128] is 0.0
     if anchor > 1e-10:
         raise CalibrationFailed(f"|tet(0) - 1| = {anchor:.3g} after bisection")
     return model
@@ -232,12 +231,9 @@ def tet_grid(model, Z):
 
 
 def tet_eval(model, s):
-    """Scalar tetration: tet_grid of one; raises BranchCut / ShortCircuit on failure."""
-    v, st = tet_grid(model, complex(s))
-    if st == BRANCH_CUT:
-        raise BranchCut(f"s={s} within {_CUT_DIST:g} of the cut (-inf, -2]")
-    raise_for_status(st, f"tet({s})")
-    return complex(v)
+    """Scalar tetration: tet_grid of one, raising the signal of its status
+    (BranchCut within 1e-9 of the cut (-inf, -2], ShortCircuit, ...)."""
+    return scalar(tet_grid(model, complex(s)), f"tet({s})")
 
 
 _NEWTON_H = 1e-6
@@ -305,11 +301,9 @@ def slog_grid(model, Z):
 
 
 def slog_eval(model, z):
-    """Scalar slog: slog_grid on one point; raises DomainError / NoConvergence
-    or the signal of a failed tet evaluation."""
-    v, st = slog_grid(model, complex(z))
-    raise_for_status(int(st), f"slog({z})")
-    return complex(v)
+    """Scalar slog: slog_grid of one, raising the signal of its status
+    (DomainError, NoConvergence, or that of a failed tet evaluation)."""
+    return scalar(slog_grid(model, complex(z)), f"slog({z})")
 
 
 def exp_iter(model, s, z):

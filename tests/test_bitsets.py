@@ -27,7 +27,17 @@ def test_bitsets_reports_a_perturbed_array(tmp_path):
             "tau.0.5+3i.25-5.window.v", "beta.variable.100.mixed.v", "beta.log2.25.one_point.st",
             "g.log2.edges.st", "f.0.25.window.v", "kernel.variable.100.rows5.stops.v",
             "kernel.log2.25.rows25.stops.one_point.st", "kernel.0.5+3i.100.rows100.mixed.v",
-            "kernel.w.0.25.rows25.stops.st", "cond.0.05.far", "g.10.far.st"} <= saved.keys()
+            "kernel.w.0.25.rows25.stops.st", "cond.0.05.far", "g.10.far.st",
+            "scalar.beta.log2.25.stops.v", "scalar.F.variable.25-5.stops.st",
+            "scalar.tet.high.stops.v", "scalar.slog.default.targets.st", "scalar.g.0.05.w.v",
+            "scalar.f.log2.w.st"} <= saved.keys()
+    # the scalar calls raise every failure status, and NaN stands where they raised
+    scalar = [name[:-3] for name in saved if name.startswith("scalar.") and name.endswith(".st")]
+    assert len(scalar) == 16
+    assert set(np.concatenate([saved[f"{name}.st"] for name in scalar]).tolist()) == set(range(7))
+    for name in scalar:
+        nan = np.isnan(saved[f"{name}.v"])
+        assert np.array_equal(nan, saved[f"{name}.st"] != 0), name
     # the w sets follow the quick point sets; the edge points stay whole
     assert saved["g.0.5+3i.complex.v"].size == 12 and saved["f.log2.edges.v"].size == 5
     # kernel rows lead; the stop points and the w stop points stay whole

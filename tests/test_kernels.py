@@ -16,7 +16,7 @@ from betatet.errors import (
     SHORT_CIRCUIT,
     SINGULAR,
     SINGULAR_RADIUS,
-    raise_for_status,
+    scalar,
 )
 from betatet.tetration import tet_grid
 
@@ -130,7 +130,7 @@ def test_scalar_is_grid_of_one(lam):
             assert beta_eval(params, s) == v
         else:
             with pytest.raises(BetaTetError) as grid_exc:
-                raise_for_status(st)
+                scalar((v, st), f"beta({s})")
             with pytest.raises(BetaTetError) as scalar_exc:
                 beta_eval(params, s)
             assert type(scalar_exc.value) is type(grid_exc.value)

@@ -156,6 +156,10 @@ def test_render_spec_validation():
     for fn, lam in (("beta", -1.0), ("F", np.inf), ("g", -2.0), ("beta", "bogus"), ("f", 1j)):
         with pytest.raises(ValueError, match="lambda"):
             RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn=fn, lam=lam)
+    # a numeric string constructed, because complex() reads it, and failed in render_hue
+    for fn in ("beta", "F", "g", "f"):
+        with pytest.raises(ValueError, match="lambda"):
+            RenderSpec(window=(-1, 1, -1, 1), resolution=(2, 2), fn=fn, lam="0.69")
 
 
 def test_render_spec_rejects_a_fixed_lambda_for_tet():

@@ -17,7 +17,7 @@ from betatet import (
     taylor_coefficients,
 )
 from betatet._kernels import g_comp_grid
-from betatet.beta import f_grid, g_grid
+from betatet.beta import _PUSH_COND_MAX, _g_points, f_grid, g_grid
 from betatet.errors import _STATUS_EXC, DOMAIN, NONFINITE, OK, SHORT_CIRCUIT, SINGULAR
 from betatet.render import _evaluate_fn
 
@@ -84,6 +84,14 @@ def test_validation():
             taylor_coefficients(lam, 3)
         with pytest.raises(ValueError, match="finite"):
             g_grid(lam, np.array([0.5]))
+    # a string is no lambda, though complex() reads "0.69": every reader of a
+    # fixed lambda refuses it, as BetaParams does
+    for lam in ("0.69", "1+2j"):
+        for call in (lambda: taylor_coefficients(lam, 2), lambda: g_grid(lam, 0.1),
+                     lambda: f_grid(lam, 10.0), lambda: g_eval(lam, 0.1),
+                     lambda: BetaParams(lam=lam)):
+            with pytest.raises(ValueError, match="lam"):
+                call()
 
 
 def test_g_at_zero():
@@ -129,16 +137,19 @@ def test_g_singular_point():
 
 
 def test_g_short_circuit_keeps_last_value():
-    with pytest.raises(ShortCircuit) as exc:
+    # the grid keeps the push-out's last finite value; g_eval raises its status
+    value, status = g_grid(LOG2, 50.0)
+    assert status == SHORT_CIRCUIT and cmath.isfinite(value)
+    with pytest.raises(ShortCircuit):
         g_eval(LOG2, 50.0)
-    last = exc.value.last_value
-    assert last is not None and cmath.isfinite(last)
 
 
 def test_g_ill_conditioned_push_out_raises():
     # 159 push-out levels magnify rounding by ~7e14; the value used to
     # come back 0.26 relative from a 60-digit push-out of the same Taylor value
-    with pytest.raises(ShortCircuit, match="ill-conditioned"):
+    _, status, cond = _g_points(0.05, 76.66 + 1035.67j)
+    assert status == SHORT_CIRCUIT and cond > _PUSH_COND_MAX
+    with pytest.raises(ShortCircuit):
         g_eval(0.05, 76.66 + 1035.67j)
 
 

@@ -40,10 +40,19 @@ The evaluations:
   rows = 5 and 25, from seeded start values, on w = e^{lambda s} over the
   complex set and on the w edge points, |w| near 1e300 among them;
 * g_grid's values, statuses and push-out condition estimates at lambda =
-  log 2, 0.5+3i, 0.25, 0.05 and 10 on 300 seeded w with |w| from 10 to 1e300.
+  log 2, 0.5+3i, 0.25, 0.05 and 10 on 300 seeded w with |w| from 10 to 1e300;
+* the six scalar evaluators, one call per point, as `scalar.<fn>.<family>.<set>`:
+  the returned value (NaN where the call raised) and the status that the
+  raised class stands for (0 where it returned).  beta_eval (variable and
+  log 2, n = 25), F_eval ((n, k) = (25, 5)) and tet_eval (both profiles) run
+  on the stop points, slog_eval on a few targets, g_eval and f_eval at
+  lambda = log 2, 0.5+3i, 0.25 and 0.05 on the w edge points, the first
+  singular points of g and f, 50, 1/50 and an ill-conditioned push-out and
+  its reciprocal.  Together they raise every failure status.
 """
 
 import argparse
+import cmath
 import math
 import sys
 from pathlib import Path
@@ -62,6 +71,8 @@ TET_WINDOW, TET_RES = (-1.55, 2.05, -0.25, 2.05), (144, 92)
 FIXED_WINDOW, FIXED_RES = (0.475, 4.025, -1.025, 1.025), (142, 82)
 QUICK_POINTS = 12
 SHIFT_SEED = 22
+SLOG_TARGETS = [0.0, 0.5, 1.0, math.e, 20.0, -0.5, -5.0, 1 + 1j, math.nan, math.inf, 1.88]
+SCALAR_LAMBDAS = {**FIXED_LAMBDAS, "0.05": 0.05}
 
 
 def _repeats(rng):
@@ -99,6 +110,15 @@ def _stops():
 def _w_stops(lam):
     """The w edge points, more with |w| near 1e300, and -e^{3 lambda}, singular at j = 3."""
     more = [-1e300, 1e300j, 7e299 - 7e299j, -np.exp(3 * lam), complex(np.nan, 1.0)]
+    return np.concatenate([W_EDGES, np.array(more, np.complex128)])
+
+
+def _scalar_w(lam):
+    """The w edge points, -e^lambda and -e^{-lambda} (singular for g and f),
+    50 and 1/50 (short circuits at log 2) and 76.66+1035.67i (ill-conditioned
+    at 0.05) with its reciprocal."""
+    far = 76.66 + 1035.67j
+    more = [-cmath.exp(lam), -cmath.exp(-lam), 50, 1 / 50, far, 1 / far]
     return np.concatenate([W_EDGES, np.array(more, np.complex128)])
 
 
@@ -146,10 +166,12 @@ def dump(src, out, quick=False):
     root = Path(src).resolve()
     sys.path.insert(0, str(root / "src"))
     import betatet
-    from betatet import VARIABLE, BetaParams, F_grid, TauConfig, _kernels, beta_grid, tau_grid
+    from betatet import (VARIABLE, BetaParams, BetaTetError, F_eval, F_grid, TauConfig, _kernels,
+                         beta_eval, beta_grid, f_eval, g_eval, tau_grid)
     from betatet.beta import _g_points, f_grid, g_grid
+    from betatet.errors import _STATUS_EXC
     from betatet.render import RenderSpec, pixel_grid
-    from betatet.tetration import get_model, slog_grid, tet_grid
+    from betatet.tetration import get_model, slog_eval, slog_grid, tet_eval, tet_grid
 
     if root not in Path(betatet.__file__).resolve().parents:
         raise SystemExit(f"betatet was imported from {betatet.__file__}, not from {root}")
@@ -158,6 +180,18 @@ def dump(src, out, quick=False):
 
     def put(name, result):
         arrays[f"{name}.v"], arrays[f"{name}.st"] = (np.asarray(a) for a in result)
+
+    code_of = {exc: code for code, exc in _STATUS_EXC.items()}
+
+    def put_scalar(name, scalar, points):
+        values = np.full(len(points), np.nan, np.complex128)
+        status = np.zeros(len(points), np.int8)
+        for i, z in enumerate(np.asarray(points, np.complex128).tolist()):
+            try:
+                values[i] = scalar(z)
+            except BetaTetError as exc:
+                status[i] = code_of[type(exc)]
+        put(f"scalar.{name}", (values, status))
 
     for profile in ("default", "high"):
         model = get_model(profile)
@@ -169,6 +203,15 @@ def dump(src, out, quick=False):
         put(f"tet.{profile}.one_point",
             map(np.array, zip(*(tet_grid(model, complex(s)) for s in ONE_POINT))))
         put(f"slog.{profile}", slog_grid(model, sets["slog"]))
+        put_scalar(f"tet.{profile}.stops", lambda s: tet_eval(model, s), sets["stops"])
+        put_scalar(f"slog.{profile}.targets", lambda z: slog_eval(model, z), SLOG_TARGETS)
+    for family, lam in (("variable", VARIABLE), ("log2", FIXED_LAMBDAS["log2"])):
+        params, config = BetaParams(lam=lam, depth=25), TauConfig(n=25, k=5)
+        put_scalar(f"beta.{family}.25.stops", lambda s: beta_eval(params, s), sets["stops"])
+        put_scalar(f"F.{family}.25-5.stops", lambda s: F_eval(params, config, s), sets["stops"])
+    for family, lam in SCALAR_LAMBDAS.items():
+        put_scalar(f"g.{family}.w", lambda w: g_eval(lam, w), _scalar_w(lam))
+        put_scalar(f"f.{family}.w", lambda w: f_eval(lam, w), _scalar_w(lam))
     families = [("variable", VARIABLE, VARIABLE_DEPTHS, ("real", "complex", "mixed", "strip"))]
     families += [(name, lam, FIXED_DEPTHS, ("real", "complex", "mixed", "window"))
                  for name, lam in FIXED_LAMBDAS.items()]
