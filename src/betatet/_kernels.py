@@ -14,9 +14,9 @@ Both can return the iterates of the last few levels as rows: for fixed
 lambda those are the pullback stack beta(s + m), one run for all rows.
 A beta point whose s and rate both have imaginary part exactly 0 (real
 s > -1 in variable mode, real s with a real lambda in fixed mode) runs the
-same level loop in float64, and every other point in complex128.  Each chunk
-picks the route per point, so neither the route nor a point's bits depend
-on the batch; float64 results come back as complex128.
+same level loop in float64, and every other point in complex128.  The route
+is cut per chunk, by each point's own s and rate, so neither the route nor a
+point's bits depend on the batch; float64 results come back as complex128.
 
 The loop runs in blocks of levels.  A level splits into its level-only
 terms (for beta x_j, the e^{f - x} switch past the overflow guard, the
@@ -36,12 +36,14 @@ and what it computed past that level is dropped; a non-finite input stops
 before the first level, nonfinite.  A stopped point's later rows hold its
 kept iterate and status, filled once per call after the last level.
 
-A batch with at least SPLIT_MIN points for each CPU this process may run on
-(its affinity mask, read once at import) is cut into contiguous chunks, one
-per CPU.  The calling thread runs the level loop on the last chunk and
-worker threads, started at the first split and kept, run it on the others;
-numpy's ufuncs release the interpreter lock.  Smaller batches never touch a
-worker.  Neither the split nor the blocks change a bit: each point's
+`_compose` plans each batch in one place.  A batch with at least SPLIT_MIN
+points for each CPU this process may run on (its affinity mask, read once at
+import) is cut into contiguous chunks, one per CPU, and each chunk into its
+float64 part and its complex128 part; each part is one run of the level
+loop.  The pool's worker threads, started at the first split and kept, run
+every part of a split batch while the calling thread waits; numpy's ufuncs
+release the interpreter lock.  Smaller batches never touch a worker.
+Neither the split, the routes nor the blocks change a bit: each point's
 operations and their operand order are the same in any batch and block,
 and no step reduces across points.
 """
@@ -74,9 +76,12 @@ def _compose(level, depth, f, *inputs, rows=None, real=None):
 
     With rows, values and status gain a leading axis of that length: row m
     holds the iterate after level rows - m, so the last row is the result.
-    A batch of at least SPLIT_MIN points per CPU runs as contiguous chunks,
-    one per CPU, through `_levels`; the chunks' results are joined along
-    the point axis.  real marks the points `_levels` runs in float64.
+    The batch plan: a batch of at least SPLIT_MIN points per CPU is cut into
+    contiguous chunks, one per CPU, and each chunk into the points that real
+    marks, which run on the real parts in float64, and the others.  A part
+    that covers its chunk is the chunk's slice, so `_levels` gets views;
+    otherwise it is an index array.  The parts of a split batch run on the
+    kept workers, and each part's results fill its columns of the result.
     """
     shape = f.shape if rows is None else (rows, *f.shape)
     count = 1 if rows is None else rows
@@ -84,41 +89,42 @@ def _compose(level, depth, f, *inputs, rows=None, real=None):
     inputs = [a.ravel() for a in inputs]
     real = None if real is None else real.ravel()
     chunks = max(1, min(_CPUS, f.size // SPLIT_MIN))
-    cuts = [slice(f.size * c // chunks, f.size * (c + 1) // chunks) for c in range(chunks)]
-    parts = _in_threads(lambda c: _levels(
-        level, depth, count, f[cuts[c]], [a[cuts[c]] for a in inputs],
-        None if real is None else real[cuts[c]]), chunks)
-    values = np.concatenate([v for v, _ in parts], axis=-1)
-    status = np.concatenate([st for _, st in parts], axis=-1)
+    plan = []               # (points, whether they run in float64)
+    for c in range(chunks):
+        cut = slice(f.size * c // chunks, f.size * (c + 1) // chunks)
+        if real is None or not real[cut].any():
+            plan.append((cut, False))
+        elif real[cut].all():
+            plan.append((cut, True))
+        else:
+            plan += [(cut.start + np.flatnonzero(real[cut]), True),
+                     (cut.start + np.flatnonzero(~real[cut]), False)]
+
+    def run(part):
+        at, in_float = part
+        args = [a.real[at] if in_float else a[at] for a in (f, *inputs)]
+        return _levels(level, depth, count, args[0], args[1:])
+
+    results = list((_executor().map if chunks > 1 else map)(run, plan))
+    if len(plan) == 1 and not plan[0][1]:
+        values, status = results[0]
+    else:
+        values, status = np.empty((count, f.size), f.dtype), np.empty((count, f.size), np.int8)
+        for (at, _), (v, st) in zip(plan, results):
+            values[:, at], status[:, at] = v, st
     return values.reshape(shape), status.reshape(shape)
 
 
-def _in_threads(task, count):
-    """[task(0), ..., task(count - 1)], the last on the calling thread and
-    the others on the kept worker threads.
-
-    A worker's exception is raised here, after every worker has finished.
-    """
-    if count == 1:
-        return [task(0)]
-    futures = [_executor().submit(task, c) for c in range(count - 1)]
-    try:
-        last = task(count - 1)
-    finally:
-        for f in futures:
-            f.exception()           # waits for the worker; result() raises
-    return [f.result() for f in futures] + [last]
-
-
 def _executor():
-    """The worker threads of split batches, started at the first split and
-    kept: a split wakes waiting threads, which the scheduler puts on idle
-    CPUs, where a thread started for each call could share the caller's."""
+    """The worker threads of split batches, one per CPU, started at the first
+    split and kept: a split wakes waiting threads, which the scheduler puts
+    on idle CPUs, where a thread started for each call could share the
+    caller's.  The calling thread waits for them."""
     global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="betatet-kernel")
+            _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="betatet-kernel")
         return _pool
 
 
@@ -131,16 +137,13 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _levels(level, depth, count, f, inputs, real=None):
+def _levels(level, depth, count, f, inputs):
     """The level loop of `_compose` on flat arrays; values and status are (count, N).
 
     Each point runs alone: no step reduces across points, so a chunk gives
     the bits the whole batch would.  A point that stops records the first
     row its fill covers, its kept iterate and its status (start, kept and
     code; a non-finite input stops at row 0), and one pass fills them last.
-
-    The points that real marks run on the real parts of f and the inputs, in
-    float64, then the others, if any, in complex128.
 
     level(js, *inputs) computes the level-only terms of the levels js, a
     descending column of f's dtype, for every live point in one pass and
@@ -156,14 +159,6 @@ def _levels(level, depth, count, f, inputs, real=None):
     of any length, so its bits depend on neither the batch nor the block.
     numpy's errstate is per thread, so it is set here.
     """
-    if real is not None and real.any():
-        values, status = np.empty((count, f.size), f.dtype), np.empty((count, f.size), np.int8)
-        values[:, real], status[:, real] = _levels(
-            level, depth, count, f.real[real], [a.real[real] for a in inputs])
-        if not real.all():
-            values[:, ~real], status[:, ~real] = _levels(
-                level, depth, count, f[~real], [a[~real] for a in inputs])
-        return values, status
     values = np.repeat(f.reshape(1, -1), count, axis=0)
     kept, code = f.copy(), np.full(f.size, NONFINITE, np.int8)
     finite = np.logical_and.reduce([np.isfinite(a) for a in inputs])

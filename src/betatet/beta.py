@@ -118,12 +118,9 @@ def taylor_coefficients(lam, K):
     b = np.zeros(K + 1, np.complex128)   # e^g's monomial coefficients
     b[0] = 1.0
     q = cmath.exp(-lam)
+    alt = 0j                            # b_0 - b_1 + ... +- b_{k-1}
     for k in range(1, K + 1):
-        alt = 0j
-        sign = 1.0
-        for c in range(k):
-            alt += sign * b[c]
-            sign = -sign
+        alt += (-1.0) ** (k - 1) * b[k - 1]
         a[k] = (q ** k) * ((-1.0) ** (k + 1)) * alt
         b[k] = sum((k - d) * b[d] * a[k - d] for d in range(k)) / k
     fact = np.array([float(math.factorial(k)) for k in range(K + 1)])

@@ -1,8 +1,10 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bitsets.py"
@@ -57,3 +59,17 @@ def test_bitsets_reports_a_perturbed_array(tmp_path):
     differ = _run("compare", a, b)
     assert differ.returncode == 1
     assert differ.stdout.splitlines() == [name, f"1 of {len(saved)} arrays differ"]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git repository")
+def test_against_a_revision_dumps_both_trees():
+    # HEAD's tree and this checkout, each dumped quick by this tool, then compared
+    ran = _run("against", "HEAD", "--quick")
+    counts = re.fullmatch(r"(\d+) of (\d+) arrays differ", ran.stdout.splitlines()[-1])
+    assert counts, ran.stdout + ran.stderr
+    differ, total = map(int, counts.groups())
+    assert ran.returncode == (1 if differ else 0)
+    dumped = [int(line.split()[0]) for line in ran.stdout.splitlines() if " arrays from " in line]
+    assert dumped == [total, total]
+    unknown = _run("against", "no-such-revision", "--quick")
+    assert unknown.returncode == 2 and "no-such-revision" in unknown.stderr

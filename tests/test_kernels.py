@@ -339,6 +339,60 @@ def test_mixed_batches_keep_every_points_bits(monkeypatch):
     assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
 
 
+def test_one_route_chunks_reach_the_level_loop_as_views(monkeypatch):
+    # a chunk whose points all take one route runs on views of the caller's
+    # s (its real parts in float64), whole or split by three CPUs, with
+    # nothing gathered; test_mixed_batches_keep_every_points_bits covers the
+    # chunks that gather each route's points
+    levels, seen = _kernels._levels, []
+
+    def spy(*args):                 # level, depth, count, f, inputs
+        seen.append((args[3].dtype, args[4][0]))
+        return levels(*args)
+
+    monkeypatch.setattr(_kernels, "_levels", spy)
+    monkeypatch.setattr(_kernels, "SPLIT_MIN", 100)
+    real = np.linspace(-0.5, 30, 501).astype(np.complex128)
+    for s, dtype in [(real, np.float64), (real + 0.5j, np.complex128)]:
+        for cpus in (1, 3):
+            monkeypatch.setattr(_kernels, "_CPUS", cpus)
+            seen.clear()
+            for lam in (None, LOG2):
+                _kernels._beta(s, lam, 25)
+            assert [d for d, _ in seen] == [dtype] * 2 * cpus
+            assert all(np.shares_memory(a, s) for _, a in seen)
+
+
+def test_split_batch_raises_a_parts_error_and_keeps_its_pool(monkeypatch):
+    # an exception in one part of a split batch reaches the caller, and the
+    # next split call on the same workers gives the bits of an unsplit one
+    monkeypatch.setattr(_kernels, "SPLIT_MIN", 4096)
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-6, 6, 20000) + 1j * rng.uniform(-3, 3, 20000)
+    s[10000] = 0.25 + 0.125j            # in the middle of three chunks
+    monkeypatch.setattr(_kernels, "_CPUS", 1)
+    want = _kernels.beta_fixed_grid(s, 0.5 + 3j, 29, 5)
+    monkeypatch.setattr(_kernels, "_CPUS", 3)
+    levels = _kernels._levels
+
+    class PartFailed(Exception):
+        pass
+
+    def failing(*args):             # level, depth, count, f, inputs
+        if np.any(args[4][0] == s[10000]):
+            raise PartFailed
+        return levels(*args)
+
+    pool = _kernels._executor()
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_levels", failing)
+        with pytest.raises(PartFailed):
+            _kernels.beta_fixed_grid(s, 0.5 + 3j, 29, 5)
+    got = _kernels.beta_fixed_grid(s, 0.5 + 3j, 29, 5)
+    assert _kernels._executor() is pool
+    assert np.array_equal(got[1], want[1]) and got[0].tobytes() == want[0].tobytes()
+
+
 @pytest.mark.parametrize("lam,lo,hi,depth,rows", [
     (None, -0.99, 30, 25, None), (None, -0.99, 30, 100, None),
     (LOG2, -30, 30, 25, 1), (LOG2, -30, 30, 25, 5),

@@ -17,22 +17,12 @@ from betatet import (
     taylor_coefficients,
 )
 from betatet._kernels import g_comp_grid
+from betatet.acceptance import _taylor_oracle
 from betatet.beta import _PUSH_COND_MAX, _g_points, f_grid, g_grid
 from betatet.errors import _STATUS_EXC, DOMAIN, NONFINITE, OK, SHORT_CIRCUIT, SINGULAR
 from betatet.render import _evaluate_fn
 
 LOG2 = math.log(2.0)
-
-
-def circle_derivative_oracle(lam, kmax, radius=0.1, nodes=128, depth=100):
-    """Monomial coefficients of g from beta through the change of variables."""
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    w = radius * np.exp(1j * theta)
-    s = np.log(w) / lam
-    vals, st = beta_grid(BetaParams(lam=lam, depth=depth), s)
-    assert np.all(st == OK)
-    return np.array([(vals * np.exp(-1j * k * theta)).mean() / radius ** k
-                     for k in range(kmax + 1)])
 
 
 def test_a0_zero():
@@ -50,7 +40,7 @@ def test_a1_closed_form():
 @pytest.mark.parametrize("lam", [LOG2, 1.0])
 def test_recursion_matches_derivative_oracle(lam):
     series = taylor_coefficients(lam, 6)
-    oracle = circle_derivative_oracle(lam, 6)
+    oracle = _taylor_oracle(lam, 6)
     rel = np.abs(series.monomial[1:7] - oracle[1:7]) / np.abs(oracle[1:7])
     assert rel.max() < 1e-6
 

@@ -2,13 +2,17 @@
 
     python tools/bitsets.py dump SRC OUT.npz [--quick]
     python tools/bitsets.py compare A.npz B.npz
+    python tools/bitsets.py against REV [--quick]
 
 `dump` imports the betatet package of the checkout SRC (its src/ directory)
 and saves each evaluation below to OUT.npz, values and statuses as separate
 arrays.  Run it once per checkout, each in its own process, then `compare`,
 which lists the arrays whose dtype, shape or bytes differ and exits 1 if any
-do.  `--quick` keeps 12 evenly spaced points of each set but the repeats,
-the stop points and the w edge points, which it keeps whole.
+do.  `against` does all three for the tree of git revision REV (a `git
+archive` in a temporary directory) and this checkout, as it is on disk; it
+exits as `compare` does, or 2 when REV is not a revision or a dump fails.
+`--quick` keeps 12 evenly spaced points of each set but the repeats, the
+stop points and the w edge points, which it keeps whole.
 
 The evaluations:
 * x0, the calibration table's values and tet_grid at both profiles on the
@@ -53,8 +57,12 @@ The evaluations:
 
 import argparse
 import cmath
+import io
 import math
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +281,26 @@ def compare(a, b):
     return differ
 
 
+def against(rev, quick=False):
+    """Dump the tree of git revision rev and this checkout, each in its own
+    process, and compare them; None where rev is not a revision or a dump fails."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev], capture_output=True)
+    if archive.returncode:
+        sys.stderr.write(archive.stderr.decode())
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        for src, out in [(tmp / "rev", tmp / "rev.npz"), (root, tmp / "here.npz")]:
+            dumped = subprocess.run([sys.executable, __file__, "dump", str(src), str(out)]
+                                    + ["--quick"] * quick)
+            if dumped.returncode:
+                return None
+        return compare(tmp / "rev.npz", tmp / "here.npz")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,11 +312,16 @@ def main(argv=None):
     p = sub.add_parser("compare", help="list the arrays whose bytes differ")
     p.add_argument("a")
     p.add_argument("b")
+    p = sub.add_parser("against", help="dump git revision REV and this checkout and compare")
+    p.add_argument("rev")
+    p.add_argument("--quick", action="store_true",
+                   help=f"keep {QUICK_POINTS} points of each set")
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.src, args.out, args.quick)
         return 0
-    return 1 if compare(args.a, args.b) else 0
+    differ = compare(args.a, args.b) if args.command == "compare" else against(args.rev, args.quick)
+    return 2 if differ is None else 1 if differ else 0
 
 
 if __name__ == "__main__":
