@@ -13,10 +13,13 @@ so tet(0) = 1, tet(1) = e, tet(-1) = 0 hold to calibration accuracy and
 tet(s+1) = e^{tet(s)} holds exactly by construction.  The inverse slog is
 implemented on the branch reaching the real base interval [0, e]: masked
 log/exp steps reduce the whole input onto the interval, then Newton runs on
-every live target at once from a precomputed monotone table, with one
-tet_grid call per step on the stencil [s, s+h, s-h].  Points that converge
-or fail leave the batch; a step that does not halve a residual fails its
-target, so Newton needs no step budget.  tet_grid is the one tet evaluator:
+every live target at once, with one tet_grid call per step on the stencil
+[s, s+h, s-h].  It starts from a 6-point Lagrange inverse interpolant of the
+monotone calibration table, which puts most targets inside the tolerance
+after one call (1.08 calls per target on linspace(0, 2.7, 136) at the high
+profile; a linear seed took 2.68).  Points that converge or fail leave
+the batch; a step that does not halve a residual fails its target, so
+Newton needs no step budget.  tet_grid is the one tet evaluator:
 calibration evaluates its slog table with it, and tet_eval, slog_eval and
 exp_iter = tet_eval(s + slog z) are grids called on a 0-d point, since every
 grid returns its input's shape.
@@ -244,14 +247,31 @@ def _in_interval(z):
     return (np.abs(z.imag) < 1e-12) & (0.0 <= z.real) & (z.real <= _E + 1e-12)
 
 
+def _seed(model, t):
+    """Newton's start for targets t inside [0, e]: 6-point Lagrange inverse
+    interpolation of the slog table on the nodes around each target, or the
+    end node's x outside the table, as np.interp gives.  A table node seeds
+    at its own x bit for bit, and every target's seed takes the same
+    operations in the same order at any batch size."""
+    v, x = model.table_v, model.table_x
+    nodes = np.clip(np.searchsorted(v, t) - 3, 0, v.size - 6)[:, None] + np.arange(6)
+    V = v[nodes]
+    ratio = (t[:, None, None] - V[:, None, :]) / (V[:, :, None] - V[:, None, :])
+    ratio[:, range(6), range(6)] = 1.0      # basis a skips its own node
+    seed = sum((x[nodes] * ratio.prod(axis=2)).T)     # terms added in node order
+    return np.where(t < v[0], x[0], np.where(t > v[-1], x[-1], seed))
+
+
 def slog_grid(model, Z):
     """Inverse of tet on the branch through the real base interval [0, e].
 
     Reductions run as masked steps over the whole input: slog(z) = slog(log z)
     + 1 for |z| > e and slog(z) = slog(e^z) - 1 for real z below the interval;
     a point not on the interval after 64 steps gets DOMAIN.  Inside, Newton
-    iteration on tet is seeded from the calibration table and runs on all
-    live targets at once, one tet_grid call on [s, s+h, s-h] per step.  A
+    iteration on tet starts from _seed, the 6-point inverse interpolant of
+    the calibration table, and runs on all live targets at once, one
+    tet_grid call on [s, s+h, s-h] per step: 1.08 calls per target on
+    linspace(0, 2.7, 136) at the high profile, 2.68 from a linear seed.  A
     failure status at a Newton point is carried through; a flat or non-finite
     derivative, or a residual above half the previous one, gets
     NO_CONVERGENCE.  Returns (values, status) with the input shape.
@@ -274,8 +294,8 @@ def slog_grid(model, Z):
     status = np.full(z.shape, DOMAIN, np.int8)
     target, shift, last = z.real[idx], shift[idx], np.full(idx.shape, np.inf)
     tol = 1e-12 * np.maximum(1.0, np.abs(target))
-    sg = np.interp(target, model.table_v, model.table_x)
     with np.errstate(all="ignore"):
+        sg = _seed(model, target)
         # halving from |err| <= e reaches any tol >= 1e-12 within 42 steps: no budget
         while m := idx.size:
             v, st = tet_grid(model, np.concatenate([sg, sg + _NEWTON_H, sg - _NEWTON_H]))

@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 
@@ -199,7 +200,8 @@ def test_slog_reductions(high_model):
 
 
 def test_slog_zero_is_minus_one(high_model):
-    assert abs(slog_eval(high_model, 0.0) + 1.0) < 1e-6
+    # 0 lies below the table's first value tet(-1), so Newton starts at -1 itself
+    assert slog_eval(high_model, 0.0) == -1.0
 
 
 def test_slog_complex_rejected(high_model):
@@ -462,9 +464,33 @@ def test_one_step_count_reaches_f_unsorted(default_model, monkeypatch, Z):
     assert xs.tobytes() == (Z - np.ceil(Z.real) + default_model.x0).tobytes()
 
 
-def _newton_reference(model, target):
-    """Scalar Newton on tet_eval; returns (s, iterations)."""
-    s = float(np.interp(target, model.table_v, model.table_x))
+def _table_seed(model, t):
+    """Plain-Python 6-point Lagrange inverse interpolation of the slog table on
+    the nodes around t, in slog_grid's operation order; np.interp's end values
+    outside the table."""
+    v, x = model.table_v.tolist(), model.table_x.tolist()
+    if t < v[0]:
+        return x[0]
+    if t > v[-1]:
+        return x[-1]
+    j = min(max(bisect.bisect_left(v, t) - 3, 0), len(v) - 6)
+    seed = 0
+    for a in range(j, j + 6):
+        p = 1.0
+        for b in range(j, j + 6):
+            if b != a:
+                p *= (t - v[b]) / (v[a] - v[b])
+        seed += x[a] * p
+    return seed
+
+
+def _interp_seed(model, t):
+    return float(np.interp(t, model.table_v, model.table_x))
+
+
+def _newton_reference(model, target, seed=_table_seed):
+    """Scalar Newton on tet_eval from seed(model, target); returns (s, iterations)."""
+    s = seed(model, target)
     h = tetration._NEWTON_H
     for i in range(100):
         err = tet_eval(model, s).real - target
@@ -474,9 +500,8 @@ def _newton_reference(model, target):
     raise AssertionError("reference Newton did not converge")
 
 
-def test_slog_grid_one_tet_grid_call_per_newton_step(high_model, monkeypatch):
-    targets = [0.3, 1.0, 2.2, 2.6]
-    ref = [_newton_reference(high_model, t) for t in targets]
+def _tet_grid_spy(monkeypatch):
+    """Record the size of every tet_grid call slog_grid makes."""
     sizes = []
     real_tet_grid = tetration.tet_grid
 
@@ -484,10 +509,19 @@ def test_slog_grid_one_tet_grid_call_per_newton_step(high_model, monkeypatch):
         sizes.append(np.size(Z))
         return real_tet_grid(model, Z)
 
+    monkeypatch.setattr(tetration, "tet_grid", counting)
+    return sizes
+
+
+def test_slog_grid_one_tet_grid_call_per_newton_step(high_model, monkeypatch):
+    # 0.62 and 1.9 sit near the variable-F seam, where the seed needs more steps
+    targets = [0.3, 0.62, 1.0, 1.9, 2.6]
+    ref = [_newton_reference(high_model, t) for t in targets]
+
     def forbidden(*args):
         raise AssertionError("slog_grid called tet_eval")
 
-    monkeypatch.setattr(tetration, "tet_grid", counting)
+    sizes = _tet_grid_spy(monkeypatch)
     monkeypatch.setattr(tetration, "tet_eval", forbidden)
     vals, st = slog_grid(high_model, targets)
     assert np.all(st == OK)
@@ -497,19 +531,46 @@ def test_slog_grid_one_tet_grid_call_per_newton_step(high_model, monkeypatch):
     assert sizes == [3 * sum(n > j for _, n in ref) for j in range(steps)]
 
 
+def test_slog_seed_reproduces_the_table_nodes(high_model, monkeypatch):
+    # at a node the interpolant is that node's x exactly, and tet there is the node's value
+    sizes = _tet_grid_spy(monkeypatch)
+    v, st = slog_grid(high_model, high_model.table_v[1:-1])
+    assert np.all(st == OK)
+    assert v.real.tobytes() == high_model.table_x[1:-1].tobytes()
+    assert sizes == [3 * 255]
+
+
+_SLOG_LATTICE = np.linspace(0.0, 2.7, 136)
+
+
+def test_slog_lattice_newton_calls_and_failures(high_model, monkeypatch):
+    # from np.interp's seed the lattice took 2.68 tet_grid calls per target
+    sizes = _tet_grid_spy(monkeypatch)
+    v, st = slog_grid(high_model, _SLOG_LATTICE)
+    assert sum(sizes) / 3 <= 1.2 * _SLOG_LATTICE.size
+    assert _SLOG_LATTICE[st != OK].tolist() == [_SLOG_LATTICE[94]]
+    assert _SLOG_LATTICE[94] == pytest.approx(1.88) and st[94] == NO_CONVERGENCE
+
+
+def test_slog_values_move_only_within_newton_tolerance(high_model):
+    # Newton from np.interp's seed stops at another iterate: every value but the
+    # clamped slog(0) = -1 changes its bits, by less than 2e-12
+    v, st = slog_grid(high_model, _SLOG_LATTICE)
+    ok = st == OK
+    targets, new = _SLOG_LATTICE[ok], v.real[ok]
+    old = np.array([_newton_reference(high_model, t, _interp_seed)[0] for t in targets])
+    assert np.max(np.abs(new - old)) < 2e-12
+    clamped = targets < high_model.table_v[0]
+    assert targets[clamped].tolist() == [0.0]
+    assert np.array_equal(new == old, clamped)
+
+
 @pytest.mark.parametrize("profile,target", [("high", 1.88), ("high", 1.89), ("high", 0.635)])
 def test_slog_seam_gap_target_fails_within_three_calls(profile, target, monkeypatch):
     # targets in the jumps at the variable-F seam have no preimage; Newton drops
     # them once a residual fails to halve instead of running out a 100-step budget
-    sizes = []
-    real_tet_grid = tetration.tet_grid
-
-    def counting(model, Z):
-        sizes.append(np.size(Z))
-        return real_tet_grid(model, Z)
-
     model = get_model(profile=profile)
-    monkeypatch.setattr(tetration, "tet_grid", counting)
+    sizes = _tet_grid_spy(monkeypatch)
     v, st = slog_grid(model, target)
     assert st == NO_CONVERGENCE and np.isnan(v)
     assert 1 <= len(sizes) <= 3
