@@ -23,10 +23,12 @@ terms (for beta x_j, the e^{f - x} switch past the overflow guard, the
 denominator 1 + e^{x_j} and the singular mask; for w e^{lambda j}, the
 denominator e^{lambda j} + w and the singular mask) and the update of f.
 The terms of a whole block come from one pass over a (levels, points)
-array; only the update runs level by level.  A block has
-min(32, max(1, 4096 // live points)) levels, so a point alone runs 32
-levels per block and a batch of more than 2048 live points one, with the
-passes per level of a plain level loop.
+array; only the update runs level by level, and a block of several levels
+writes each update into its row of one (levels + 1, points) array.  A block
+has max(1, 4096 // live points) levels, capped by the levels left, so a
+point alone or a 21-row stack runs a depth-100 call in one block, and a
+batch of more than 2048 live points one level per block, with the passes
+per level of a plain level loop.
 
 `_compose` applies the same guards to each point, in this order: singular
 denominator, then overflow guard, then non-finite update.  They are checked
@@ -61,9 +63,8 @@ BACKEND = "numpy"
 # this a split call's time depends too much on how the CPUs are scheduled
 SPLIT_MIN = 16384
 
-# a block of levels holds about this many point-levels, and at most _BLOCK_MAX levels
+# a block of levels holds about this many point-levels
 _BLOCK_POINTS = 4096
-_BLOCK_MAX = 32
 
 _CPUS = len(os.sched_getaffinity(0))
 _pool = None
@@ -147,16 +148,18 @@ def _levels(level, depth, count, f, inputs):
 
     level(js, *inputs) computes the level-only terms of the levels js, a
     descending column of f's dtype, for every live point in one pass and
-    returns (step, sing): step(b, f) applies level js[b] to f, and sing is
-    the (len(js), N) singular mask.  A block runs the steps, then checks the
-    guards on all its levels at once; points that stop are compacted away
-    at its end together with their inputs, which stay named arrays: numpy
-    may compute a product with a temporary operand in place, swapping the
-    operands, and complex multiplication with FMA is not bitwise
-    commutative, so gathering inside level would change last bits.  For
-    the same reason a level writes each product with its temporary operand
-    on the left, and lays out a complex product's operands alike in blocks
-    of any length, so its bits depend on neither the batch nor the block.
+    returns (step, sing): step(b, f) applies level js[b] to f, and sing is the
+    (len(js), N) singular mask.  A block runs the steps, each writing its
+    update into the next row of one array that starts with the block's input (a
+    one-level block keeps step's result and f as views), then checks the guards
+    on all its levels at once; points that stop are compacted away at its end
+    together with their inputs, which stay named arrays: numpy may compute a
+    product with a temporary operand in place, swapping the operands, and
+    complex multiplication with FMA is not bitwise commutative, so gathering
+    inside level would change last bits.  For the same reason a level writes
+    each product with its temporary operand on the left, and lays out a complex
+    product's operands alike in blocks of any length, so its bits depend on
+    neither the batch nor the block.
     numpy's errstate is per thread, so it is set here.
     """
     values = np.repeat(f.reshape(1, -1), count, axis=0)
@@ -172,15 +175,15 @@ def _levels(level, depth, count, f, inputs):
         while j > 0 and idx.size:
             size = min(_block_length(idx.size), j)
             step, sing = level(levels[depth - j:depth - j + size], *inputs)
-            outs = [step(0, f)]
-            for b in range(1, size):
-                outs.append(step(b, outs[-1]))
-            del step                # frees the terms before the next block's
             if size == 1:           # views: a large batch makes no extra pass
-                ins, fs = f[None], outs[0][None]
-            else:
-                both = np.stack([f, *outs])
+                ins, fs = f[None], step(0, f)[None]
+            else:                   # row b + 1 is level j - b's update of row b
+                both = np.empty((size + 1, f.size), f.dtype)
+                both[0] = f
+                for b in range(size):
+                    both[b + 1] = step(b, both[b])
                 ins, fs = both[:-1], both[1:]
+            del step                # frees the terms before the next block's
             # row b of ins and fs: the input and update of level j - b
             stop = sing | (ins.real > OVERFLOW_GUARD) | ~np.isfinite(fs)
             # level j - b is row count - j + b; rows start at level count
@@ -205,10 +208,12 @@ def _levels(level, depth, count, f, inputs):
 
 
 def _block_length(points):
-    """Levels per block for this many live points: at most _BLOCK_MAX, and
-    about _BLOCK_POINTS point-levels, so a batch of more than half that runs
-    one level per block, where numpy's per-call cost is already small."""
-    return min(_BLOCK_MAX, max(1, _BLOCK_POINTS // points))
+    """Levels per block for this many live points: about _BLOCK_POINTS
+    point-levels, so a point alone or a 21-row stack runs a depth-100 call in
+    one block, and a batch of more than half that runs one level per block,
+    where numpy's per-call cost is already small.  Callers cap it by the
+    levels left."""
+    return max(1, _BLOCK_POINTS // points)
 
 
 def _beta_level(js, s, rate):
@@ -219,7 +224,7 @@ def _beta_level(js, s, rate):
     # past the overflow guard e^x itself would overflow: use e^{f - x}
     big = x.real > OVERFLOW_GUARD
     den = 1.0 + np.exp(x)
-    some = big.any(axis=1)
+    some = big.any(axis=1).tolist()
 
     def step(b, f):
         fn = np.exp(f) / den[b]

@@ -62,11 +62,16 @@ class BranchCut(BetaTetError):
 
 
 class CalibrationFailed(BetaTetError):
-    """No bracket for the normalization shift found in the scan range."""
+    """Calibration could not build a model: no bracket for the normalization
+    shift in the scan range, a bisection point that cannot be evaluated, a
+    base-interval table that cannot be evaluated or does not increase, or
+    |tet(0) - 1| above 1e-10 after bisection."""
 
 
 class NoConvergence(BetaTetError):
-    """Newton iteration failed to converge within its step budget."""
+    """slog's Newton iteration gave up on a target: a flat or non-finite
+    derivative, or a residual above half the previous one.  Newton has no
+    step budget; the halving rule ends every target."""
 
 
 class DomainError(BetaTetError):

@@ -120,7 +120,10 @@ def _defect(a, lam):
 
 
 def _on_cut(z):
-    return ((z.real <= 0) & (np.abs(z.imag) <= _CUT_EPS * np.abs(z.real))) | (np.abs(z) < 1e-300)
+    # Re z <= 0 and |Im z| <= _CUT_EPS |Re z| as one comparison: where Re z > 0,
+    # -_CUT_EPS Re z is below 0 <= |Im z|, or underflows to -0.0 for Re z under
+    # 2.5e-312, where a z that passes has Im z = 0 and so |z| < 1e-300 anyway
+    return (np.abs(z.imag) <= -_CUT_EPS * z.real) | (np.abs(z) < 1e-300)
 
 
 def _stacks(params, config, sf):
@@ -164,8 +167,9 @@ def _variable_stack(sf, n, k):
     real = (sf.imag == 0) & (sf.real > -1)
     low, other = min(k + 1, _REAL_ROWS), ~real
     s_other = sf[other]
+    m = np.arange(k + 1.0)[:, None]        # row m is beta(sf + m)
     vals, st = _kernels.beta_variable_grid(np.concatenate(
-        [sf + m for m in range(low)] + [s_other + m for m in range(low, k + 1)]), n)
+        [(sf + m[:low]).ravel(), (s_other + m[low:]).ravel()]), n)
     B = np.zeros((k + 1, sf.size), np.complex128)
     SB = np.zeros((k + 1, sf.size), np.int8)
     cut = low * sf.size
@@ -175,14 +179,16 @@ def _variable_stack(sf, n, k):
         SB[low:, other] = st[cut:].reshape(k + 1 - low, s_other.size)
         more = real & (SB[:low] == OK).all(axis=0)
         if more.any():
-            vals, st = _kernels.beta_variable_grid(
-                np.concatenate([sf[more] + m for m in range(low, k + 1)]), n)
+            vals, st = _kernels.beta_variable_grid((sf[more] + m[low:]).ravel(), n)
             B[low:, more] = vals.reshape(k + 1 - low, -1)
             SB[low:, more] = st.reshape(k + 1 - low, -1)
     # copy a real point's first row that is not OK into every row above it,
     # which for a point that failed below low include the unset rows low..k
     bad = SB != OK
-    first = np.where(real & bad.any(axis=0), bad.argmax(axis=0), k)
+    capped = real & bad.any(axis=0)
+    if not capped.any():
+        return B, SB
+    first = np.where(capped, bad.argmax(axis=0), k)
     src = np.minimum(np.arange(k + 1)[:, None], first)
     return np.take_along_axis(B, src, 0), np.take_along_axis(SB, src, 0)
 
@@ -219,7 +225,8 @@ def _step(T, grep, status, rows, m, ratio):
 
     T is tau, or G = beta + tau where grep is set; rows holds beta(a+1) and
     beta(a) in rows m + 1 and m, and the defect at a in D[m].  status is
-    updated in place, and failed points keep their T.
+    updated in place, and failed points keep their T.  ratio (fixed lambda)
+    enables the ratio form; without it the level computes no ratio at all.
     """
     bn, b, d = rows.B[m + 1], rows.B[m], rows.D[m]
     live = status == OK
@@ -227,17 +234,23 @@ def _step(T, grep, status, rows, m, ratio):
     over = taus & rows.over[m + 1]
     poison = taus & rows.poison[m + 1]
     status[poison] = rows.SB[m + 1][poison]
-    fin = taus & rows.ok[m + 1]
-    w = T / bn
-    rat = fin & (np.abs(w) <= _RATIO_MAX) & ratio
-    lit = fin & ~rat
+    lit = taus & rows.ok[m + 1]
+    arg = bn + T
+    if ratio:
+        w = T / bn
+        rat = lit & (np.abs(w) <= _RATIO_MAX)
+        lit = lit & ~rat
+        arg = np.where(rat, 1.0 + w, arg)
     # one log for every form; a ratio argument 1 + w has Re >= 1/2, never on the cut
-    z = np.where(grep, T, np.where(rat, 1.0 + w, bn + T))
+    z = np.where(grep, T, arg)
     cut = ((live & grep) | lit) & _on_cut(z)
     status[cut] = SHORT_CIRCUIT
     switch = lit & ~cut & rows.huge[m]
     L = np.log(z)
-    Tn = np.where(grep | switch, L, np.where(rat, d + L, np.where(over, d, L - b)))
+    Tn = np.where(over, d, L - b)
+    if ratio:
+        Tn = np.where(rat, d + L, Tn)
+    Tn = np.where(grep | switch, L, Tn)
     return np.where(status == OK, Tn, T), grep | switch
 
 

@@ -48,6 +48,13 @@ def test_bitsets_reports_a_perturbed_array(tmp_path):
     assert stops.shape[0] == 25 and stops.shape[1] > 12
     assert saved["kernel.0.5+3i.25.rows25.stops.one_point.v"].shape == stops.shape
     assert saved["kernel.w.log2.rows5.stops.v"].shape == (5, 10)
+    # small batches of the variable kernel give each set's bits of one whole call
+    for size in (40, 41, 42, 63):
+        for name in ("real", "complex", "mixed", "stops"):
+            whole = saved[f"kernel.variable.100.rows5.{name}.v"]
+            batched = saved[f"kernel.variable.100.batch{size}.{name}.v"]
+            assert batched.tobytes() == whole[-1].tobytes(), (size, name)
+            assert saved[f"kernel.variable.100.batch{size}.{name}.st"].shape == batched.shape
     assert saved["cond.10.far"].size == 12
     # the repeats keep their repeats and +-0 twins under --quick
     assert saved["tet.default.repeats.v"].size > 12

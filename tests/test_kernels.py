@@ -231,37 +231,44 @@ def test_bits_independent_of_batch_size(monkeypatch):
                 assert v[..., 0].tobytes() == values[..., i].tobytes(), (cpus, pts[i])
 
 
-# real s on a fine grid of [-3, 40] stop at the overflow guard, and the
-# singular lattice points s = m - i pi/lambda at level m of the fixed kernel;
-# a one-point call runs blocks of 32 levels, a batch of this size one level
-# at a time, then longer blocks as its points stop
-EDGE_S = np.concatenate([np.linspace(-3, 40, 2100), np.arange(1, 101) - 1j * math.pi / LOG2,
-                         PROBE])
-# one-point calls on every 7th real point and on every lattice and probe point
+# real s on a fine grid of [-3, 40] and a coarser one of [41, 104] stop at the
+# overflow guard, and the singular lattice points s = m - i pi/lambda at level
+# m of the fixed kernel; a one-point depth-100 call runs its levels in one
+# block, a batch of this size one level at a time, then longer blocks as its
+# points stop
+EDGE_S = np.concatenate([np.linspace(-3, 40, 2100), np.linspace(41, 104, 64),
+                         np.arange(1, 101) - 1j * math.pi / LOG2, PROBE])
+# one-point calls on every 7th point of the fine grid and on each of the rest
 EDGE_PICK = np.concatenate([np.arange(0, 2100, 7), np.arange(2100, EDGE_S.size)])
 
 
 def test_edge_points_stop_at_every_block_position():
     # the first non-OK row of a rows=depth run is the level a point stopped at;
-    # row m is position m % 32 of a one-point call's blocks
-    assert _kernels._block_length(1) == 32 and _kernels._block_length(EDGE_S.size) == 1
+    # a one-point depth-100 call is one block, so row m is its position m.  From
+    # f = 0 the inputs of the first four levels are 0 and below 1, e and e^e, so
+    # an overflow stop takes every position from 4 on, a singular stop all 100
+    assert _kernels._block_length(1) >= 100 and _kernels._block_length(EDGE_S.size) == 1
     _, status = _kernels.beta_fixed_grid(EDGE_S[EDGE_PICK], LOG2, 100, 100)
-    first = np.argmax(status != OK, axis=0) % 32
-    for code in (SHORT_CIRCUIT, SINGULAR):
-        assert set(first[status[-1] == code].tolist()) == set(range(32)), code
+    first = np.argmax(status != OK, axis=0)
+    assert set(first[status[-1] == SHORT_CIRCUIT].tolist()) == set(range(4, 100))
+    assert set(first[status[-1] == SINGULAR].tolist()) == set(range(100))
 
 
 @pytest.mark.parametrize("depth", [1, 31, 32, 33, 100])
 def test_one_point_calls_match_the_batch_at_block_edges(depth):
-    # a point's value and status are the same whether it runs in blocks of 32
-    # levels alone or one level at a time in a batch, stops included: rows
-    # filled by a stop, and g_comp_grid from a per-point f0, whose points with
-    # |w| near 1e300 overflow e^f w to a non-finite update
+    # a point's value and status are the same whether it runs alone, in one
+    # block, or one level at a time in a batch, stops included: rows filled by
+    # a stop, and g_comp_grid from a per-point f0, whose points with |w| near
+    # 1e300 overflow e^f w to a non-finite update.  Batches of 40, 41 and 42
+    # points run blocks of 102, 99 and 97 levels, so at depth 100 (104 with
+    # rows) a block edge falls inside the call, and a batch's blocks lengthen
+    # as its points stop
     rng = np.random.default_rng(5)
     with np.errstate(all="ignore"):
         w = np.exp(LOG2 * EDGE_S)
     w[:40] = 10.0 ** rng.uniform(290, 308, 40)
     f0 = rng.uniform(-2, 2, w.size) + 1j * rng.uniform(-2, 2, w.size)
+    assert [_kernels._block_length(n) for n in (40, 41, 42)] == [102, 99, 97]
     runs = [lambda i: _kernels.beta_variable_grid(EDGE_S[i], depth),
             lambda i: _kernels.beta_fixed_grid(EDGE_S[i], LOG2, depth),
             lambda i: _kernels.beta_fixed_grid(EDGE_S[i], 0.5 + 3j, depth + 4, 5),
@@ -272,17 +279,21 @@ def test_one_point_calls_match_the_batch_at_block_edges(depth):
     for run in runs:
         values, status = run(slice(None))
         seen |= set(status.ravel().tolist())
-        for i in EDGE_PICK:
-            v, st = run(slice(i, i + 1))
-            assert np.array_equal(st[..., 0], status[..., i]), EDGE_S[i]
-            assert v[..., 0].tobytes() == values[..., i].tobytes(), EDGE_S[i]
+        for size in (1, 40, 41, 42):
+            for at in range(0, EDGE_PICK.size, size):
+                i = EDGE_PICK[at:at + size]
+                v, st = run(i)
+                assert np.array_equal(st, status[..., i]), (size, EDGE_S[i])
+                assert v.tobytes() == values[..., i].tobytes(), (size, EDGE_S[i])
     assert seen == {OK, SINGULAR, SHORT_CIRCUIT, NONFINITE} if depth > 1 else seen >= {OK, NONFINITE}
 
 
 @pytest.mark.parametrize("s", [0.3 + 0.2j, 2.5], ids=["complex", "real"])
 def test_level_terms_are_computed_per_block(monkeypatch, s):
-    # a one-point depth-100 call computes its level-only terms in ceil(100 / B)
-    # passes of _beta_level, B = 32 levels each, not in one pass per level
+    # a depth-100 call computes its level-only terms in one pass of _beta_level
+    # per block of _block_length(points) levels, capped by the levels left, not
+    # in one pass per level: a point alone or 21 points in one pass, 42 points
+    # in two and 100 points in three
     level, sizes = _kernels._beta_level, []
 
     def spy(js, s, rate):
@@ -290,10 +301,11 @@ def test_level_terms_are_computed_per_block(monkeypatch, s):
         return level(js, s, rate)
 
     monkeypatch.setattr(_kernels, "_beta_level", spy)
-    _, status = _kernels.beta_variable_grid(np.array([s]), 100)
-    assert status[0] == OK
-    assert sum(sizes) == 100
-    assert len(sizes) <= math.ceil(100 / _kernels._block_length(1)) == 4
+    for points, passes in [(1, [100]), (21, [100]), (42, [97, 3]), (100, [40, 40, 20])]:
+        sizes.clear()
+        _, status = _kernels.beta_variable_grid(np.full(points, s), 100)
+        assert (status == OK).all()
+        assert sizes == passes
 
 
 def _complex_route(s, lam, depth, rows=None):

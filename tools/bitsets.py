@@ -40,9 +40,12 @@ The evaluations:
   each at n = 25 and 100 with rows = 5 (and rows = n for fixed lambda), on
   the real, complex and mixed sets and on the stop points (+-inf, NaN, -1,
   the lattice points m - i pi/lambda, overflow stops) as a batch and in
-  one-point calls; g_comp_grid at lambda = log 2, 0.5+3i and 0.25, n = 25,
-  rows = 5 and 25, from seeded start values, on w = e^{lambda s} over the
-  complex set and on the w edge points, |w| near 1e300 among them;
+  one-point calls; beta_variable_grid at n = 100 on the real, complex, mixed
+  and stop sets in consecutive batches of 40, 41, 42 and 63 points, whose
+  blocks of levels end inside the call; g_comp_grid at lambda = log 2,
+  0.5+3i and 0.25, n = 25, rows = 5 and 25, from seeded start values, on
+  w = e^{lambda s} over the complex set and on the w edge points, |w| near
+  1e300 among them;
 * g_grid's values, statuses and push-out condition estimates at lambda =
   log 2, 0.5+3i, 0.25, 0.05 and 10 on 300 seeded w with |w| from 10 to 1e300;
 * the six scalar evaluators, one call per point, as `scalar.<fn>.<family>.<set>`:
@@ -73,6 +76,9 @@ FIXED_LAMBDAS = {"log2": math.log(2.0), "0.5+3i": 0.5 + 3j, "0.25": 0.25}
 BETA_FAMILIES = [("variable", 25), ("variable", 100), ("log2", 25), ("0.5+3i", 25)]
 W_EDGES = np.array([0.0, -4.0, 1e300, np.nan, np.inf], np.complex128)
 KERNEL_DEPTHS = (25, 100)
+# a depth-100 call on this many points runs blocks of 102, 99, 97 and 65 levels;
+# 63 is a 3-point slog stencil's 21-row variable stack
+KERNEL_BATCHES = (40, 41, 42, 63)
 COND_LAMBDAS = {**FIXED_LAMBDAS, "0.05": 0.05, "10": 10.0}
 ONE_POINT = [0.3, 0.3 + 0.4j, -0.5 + 0.5j, 1.5, -1.5 + 0.2j, 2.5 + 1j, -2.5, 1.9 - 0.1j]
 TET_WINDOW, TET_RES = (-1.55, 2.05, -0.25, 2.05), (144, 92)
@@ -251,6 +257,12 @@ def dump(src, out, quick=False):
                     put(f"kernel.{family}.{n}.rows{rows}.{name}", kernel(sets[name]))
                 put(f"kernel.{family}.{n}.rows{rows}.stops.one_point",
                     map(np.hstack, zip(*(kernel(s[None]) for s in sets["stops"]))))
+    for size in KERNEL_BATCHES:
+        for name in ("real", "complex", "mixed", "stops"):
+            pts = sets[name]
+            put(f"kernel.variable.100.batch{size}.{name}",
+                map(np.hstack, zip(*(_kernels.beta_variable_grid(pts[at:at + size], 100)
+                                     for at in range(0, pts.size, size)))))
     for family, lam in FIXED_LAMBDAS.items():
         ws = {"complex": np.exp(lam * sets["complex"]), "stops": _w_stops(lam)}
         for name, w in ws.items():
